@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import GroupMismatchError, NotInterlacingError, NotTemperedError
+from .errors import (
+    GroupMismatchError,
+    NotInterlacingError,
+    NotTemperedError,
+    OutOfRangeError,
+)
 from .reps import (
     DiscreteSeries,
     EnhancedParam,
@@ -36,7 +41,10 @@ class Arrow:
     target: EnhancedParam
 
     def __post_init__(self) -> None:
-        assert self.to_height in (self.from_height, self.from_height - 1)
+        if self.to_height not in (self.from_height, self.from_height - 1):
+            raise OutOfRangeError(
+                f"arrow {self.from_height} -> {self.to_height} must keep or drop the height by one"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,29 +98,47 @@ def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
     return 1 if interlaces(big.s, small.s) else 0
 
 
-def _candidate_signatures(sub: GroupTag, height: int) -> tuple[Signature, ...]:
-    if sub.is_even and height == sub.top_height:
+def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
+    """Signatures a parameter of this height on ``group`` may carry."""
+    if group.is_even and height == group.top_height:
         return (Signature.BOTH,)
     return (Signature.PLUS, Signature.MINUS)
+
+
+def branch_states(
+    sub: GroupTag, height: int, sig: Signature
+) -> list[tuple[int, Signature]]:
+    """(height, signature) pairs on ``sub`` that a parameter of this height
+    and signature restricts to, in the order ``branch_enumerate`` yields them.
+
+    The height drops by 0 or 1 and stays admissible for ``sub``; the
+    signature must match, with the discrete-series wildcard on either side.
+    The pairs do not depend on the theta-weight.
+    """
+    return [
+        (h, s)
+        for h in (height - 1, height)
+        if 0 <= h <= sub.top_height
+        for s in signatures_at(sub, h)
+        if s.matches(sig)
+    ]
 
 
 def branch_enumerate(big: EnhancedParam) -> Iterator[EnhancedParam]:
     """All subgroup parameters occurring in the restriction of ``big``.
 
     Streams the cross product of the interlacing weights (lexicographically
-    decreasing) with the admissible heights, keeping the signatures that
-    match; discrete-series targets appear once, with the wildcard signature.
+    decreasing) with the admissible (height, signature) pairs of
+    ``branch_states``; discrete-series targets appear once, with the
+    wildcard signature.
     """
     sub = big.group.subgroup
-    heights = [h for h in (big.height - 1, big.height) if 0 <= h <= sub.top_height]
-    heights.sort()
+    states = branch_states(sub, big.height, big.sig)
     for nu in enumerate_interlacing(big.s, sub.rank):
         if not sub.is_even and nu.entries[-1] != 0:
             continue  # outside the self-dual family for the subgroup
-        for h in heights:
-            for sig in _candidate_signatures(sub, h):
-                if sig.matches(big.sig):
-                    yield EnhancedParam(sub, nu, h, sig)
+        for h, sig in states:
+            yield EnhancedParam(sub, nu, h, sig)
 
 
 def sb_diagram(

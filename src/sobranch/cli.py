@@ -53,6 +53,13 @@ from .reps import (
 from .weights import GroupTag, Weight, validate_weight
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise OutOfRangeError(f"cannot parse integer {what}={text!r}") from exc
+
+
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -86,7 +93,9 @@ def parse_enhanced(group: GroupTag, text: str) -> EnhancedParam:
     if missing:
         raise OutOfRangeError(f"enhanced parameter missing {sorted(missing)} in {text!r}")
     weight = validate_weight(_parse_csv_ints(fields["weight"]), group)
-    return EnhancedParam(group, weight, int(fields["h"]), Signature.parse(fields["sig"]))
+    return EnhancedParam(
+        group, weight, _parse_int(fields["h"], "h"), Signature.parse(fields["sig"])
+    )
 
 
 def parse_langlands(group: GroupTag, text: str) -> RepDescriptor:
@@ -110,13 +119,12 @@ def parse_langlands(group: GroupTag, text: str) -> RepDescriptor:
     has_delta = "delta" in fields
     has_lambda = "lambda" in fields
     if has_delta and has_lambda:
-        return Nontempered(
-            group, sigma, Signature.parse(fields["delta"]), int(fields["lambda"])
-        )
+        delta = Signature.parse(fields["delta"])
+        return Nontempered(group, sigma, delta, _parse_int(fields["lambda"], "lambda"))
     if has_delta:
         return TemperedPS(group, sigma, Signature.parse(fields["delta"]))
     if has_lambda:
-        return DiscreteSeries(group, sigma, int(fields["lambda"]))
+        return DiscreteSeries(group, sigma, _parse_int(fields["lambda"], "lambda"))
     raise OutOfRangeError(f"langlands parameter needs delta= or lambda= in {text!r}")
 
 
@@ -388,13 +396,31 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_grids(path: str) -> dict[str, dict[str, int]]:
+    """Read a grid-bounds override file: {suite: {bound: integer}}."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise OutOfRangeError(f"cannot read grid file {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise OutOfRangeError(f"grid file {path!r} must hold a JSON object")
+    data.pop("_comment", None)
+    for suite, bounds in data.items():
+        if not isinstance(bounds, dict):
+            raise OutOfRangeError(f"grid file {path!r}: bounds of {suite!r} must be an object")
+        for key, value in bounds.items():
+            if type(value) is not int:
+                raise OutOfRangeError(
+                    f"grid file {path!r}: bound {suite}.{key} must be an integer, got {value!r}"
+                )
+    return data
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
     bounds_map = default_bounds()
     if args.grids:
-        with open(args.grids, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        data.pop("_comment", None)
-        bounds_map.update(data)
+        bounds_map.update(_load_grids(args.grids))
     names = args.suite or list(SUITE_NAMES)
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -71,6 +71,10 @@ class BadTargetError(SobranchError):
     exit_code = 2
 
 
+class InvariantError(SobranchError):
+    """An internal consistency check failed: a bug in the package, not in the input."""
+
+
 class OutOfRangeError(SobranchError):
     """Numeric argument outside its documented range."""
 

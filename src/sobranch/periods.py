@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .branching import branch_enumerate, multiplicity
+from .branching import branch_enumerate, branch_states, multiplicity, signatures_at
 from .errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from .reps import EnhancedParam, Signature
 from .weights import GroupTag, Weight, binomial
@@ -64,8 +64,11 @@ class PeriodValue:
     pi_quarters: int
 
     def __post_init__(self) -> None:
-        assert self.sign in (1, -1)
-        assert self.rational > 0
+        if self.sign not in (1, -1) or self.rational <= 0:
+            raise OutOfRangeError(
+                f"period value needs sign +-1 and a positive rational, "
+                f"got {self.sign} and {self.rational}"
+            )
 
     def pretty(self) -> str:
         parts = []
@@ -138,43 +141,70 @@ def distinguished_subgroup(e: EnhancedParam) -> GroupTag:
     return GroupTag(e.group.n + 1 - e.height)
 
 
+def _chain_states(
+    big: EnhancedParam, target: GroupTag, psi: Signature
+) -> list[set[tuple[int, Signature]]]:
+    """Entry k: the (height, signature) pairs on SO(target.N + k, 1) from
+    which k one-step branchings reach height 0 with sign ``psi``.
+
+    Built level by level from the target up to ``big``'s group with the same
+    rule as ``branch_enumerate`` (``branch_states``).  Heights never grow
+    along a chain and drop by at most one per step, so only heights up to
+    min(k, big.height) are tried.
+    """
+    good = [{(0, psi)}]
+    for k in range(1, big.group.N - target.N + 1):
+        level, below = GroupTag(target.N + k), good[-1]
+        sub = level.subgroup
+        good.append({
+            (h, sig)
+            for h in range(min(level.top_height, k, big.height) + 1)
+            for sig in signatures_at(level, h)
+            if any(state in below for state in branch_states(sub, h, sig))
+        })
+    return good
+
+
 def distinguishing_chain(
     big: EnhancedParam, target: GroupTag, psi: Signature
 ) -> Optional[list[EnhancedParam]]:
-    """Depth-first search for a chain big -> ... -> chi_psi of the target group.
+    """Chain big -> ... -> chi_psi of the target group, or None.
 
     Returns the full node path (starting at ``big``, ending at the
     one-dimensional parameter of sign ``psi`` on the target) with every
-    consecutive multiplicity equal to 1, or None.  The search memoizes on
-    the visited parameters and explores lexicographically largest weights
-    first, so the witness is deterministic.  A chain certifies stepwise
-    nonvanishing of each factor, not of the composed functional.
+    consecutive multiplicity equal to 1.  Under the branching rule the
+    theta-weight moves independently of the (height, signature) pair, so a
+    node on SO(N,1) reaches chi_psi on SO(M,1) in t = N - M steps exactly
+    when both hold:
+
+    (a) weight: s_j = 0 for every 1-based j > t.  Taking nu_k = mu_(k+1)
+        at each step is always admissible and componentwise minimal;
+    (b) height and signature: the pair reaches (0, psi) on SO(M,1) through
+        the admissible one-step moves (a small table over (N, h, sig)).
+
+    The search returns None at once when ``big`` fails the test; otherwise
+    it takes at each level the first feasible target of ``branch_enumerate``
+    (lexicographically largest weight first), so the witness is the
+    lexicographically first chain and the cost is O((N - M) x branching).
+    A chain certifies stepwise nonvanishing of each factor, not of the
+    composed functional.
     """
     if psi is Signature.BOTH:
         raise BadTargetError("psi must be a definite sign")
     if target.N > big.group.N:
         raise BadTargetError(f"{target} is not a subgroup of {big.group}")
-    memo: dict[EnhancedParam, Optional[tuple[EnhancedParam, ...]]] = {}
+    good = _chain_states(big, target, psi)
 
-    def is_chi_psi(node: EnhancedParam) -> bool:
-        return node.height == 0 and node.s.is_zero() and node.sig is psi
+    def feasible(node: EnhancedParam) -> bool:
+        steps = node.group.N - target.N
+        return not any(node.s.entries[steps:]) and (node.height, node.sig) in good[steps]
 
-    def search(node: EnhancedParam) -> Optional[tuple[EnhancedParam, ...]]:
-        if node.group.N == target.N:
-            return (node,) if is_chi_psi(node) else None
-        if node in memo:
-            return memo[node]
-        result = None
-        for nxt in branch_enumerate(node):
-            tail = search(nxt)
-            if tail is not None:
-                result = (node,) + tail
-                break
-        memo[node] = result
-        return result
-
-    found = search(big)
-    return None if found is None else list(found)
+    if not feasible(big):
+        return None
+    chain = [big]
+    while chain[-1].group.N > target.N:
+        chain.append(next(nxt for nxt in branch_enumerate(chain[-1]) if feasible(nxt)))
+    return chain
 
 
 def period_value(n: int, i: int) -> PeriodValue:

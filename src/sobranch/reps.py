@@ -25,6 +25,7 @@ from typing import Union
 from .errors import (
     InvalidDescriptorError,
     InvalidEnhancedError,
+    InvariantError,
     NotMonotoneError,
     SingularInfCharError,
     WrongRankError,
@@ -207,6 +208,8 @@ class EnhancedParam:
 
     def __post_init__(self) -> None:
         validate_weight(self.s.entries, self.group)
+        if type(self.height) is not int:
+            raise InvalidEnhancedError(f"height must be an integer, got {self.height!r}")
         top = self.group.top_height
         if not 0 <= self.height <= top:
             raise InvalidEnhancedError(
@@ -325,7 +328,8 @@ def height(d: RepDescriptor) -> int:
     """
     h_ins = _height_by_insertion(d)
     h_int = _height_by_intervals(d)
-    assert h_ins == h_int, f"height methods disagree on {d}: {h_ins} vs {h_int}"
+    if h_ins != h_int:
+        raise InvariantError(f"height methods disagree on {d}: {h_ins} vs {h_int}")
     return h_ins
 
 
@@ -395,7 +399,8 @@ def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
                 continue
             pos = len(vals)  # 0-based sigma index
             v = a_doubled[k] - n + 2 * (pos + 1)
-            assert v >= 0 and v % 2 == 0
+            if v < 0 or v % 2:
+                raise InvariantError(f"sigma entry {v}/2 of {e} is not a nonnegative integer")
             vals.append(v // 2)
         return Weight(tuple(vals))
 
@@ -409,7 +414,8 @@ def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
     sigma = sigma_from(e.height)
     if e.height == top:
         # N odd tempered slot: the skipped entry is forced to 0, so lam = n/2.
-        assert a_doubled[e.height] == 0
+        if a_doubled[e.height] != 0:
+            raise InvariantError(f"tempered slot of {e} holds {a_doubled[e.height]}/2, not 0")
         return TemperedPS(group, sigma, e.sig)
     return Nontempered(group, sigma, e.sig.times_sign(e.height - lam), lam)
 
@@ -464,7 +470,8 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
         else:
             for sig in (Signature.PLUS, Signature.MINUS):
                 out.append(langlands_from_enhanced(EnhancedParam(group, s, i, sig)))
-    assert len(out) == group.n + 2
+    if len(out) != group.n + 2:
+        raise InvariantError(f"classify found {len(out)} parameters for {group}, not n + 2")
     return out
 
 

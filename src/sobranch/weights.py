@@ -15,6 +15,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import (
+    InvariantError,
     NotMonotoneError,
     NotSelfDualError,
     OutOfRangeError,
@@ -83,7 +84,7 @@ class Weight:
 
     def __post_init__(self) -> None:
         e = self.entries
-        if any(not isinstance(x, int) for x in e):
+        if any(type(x) is not int for x in e):
             raise NotMonotoneError(f"weight entries must be integers: {e}")
         if any(x < 0 for x in e):
             raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
@@ -309,7 +310,8 @@ def weyl_dim(N: int, lam: Sequence[int], chirality: str | None = None) -> int:
         for i in range(rank):
             for j in range(i + 1, rank):
                 dim *= Fraction(ell[i] ** 2 - ell[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
-    assert dim.denominator == 1 and dim > 0
+    if dim.denominator != 1 or dim <= 0:
+        raise InvariantError(f"SO({N}) dimension of {lam} came out as {dim}")
     return int(dim)
 
 

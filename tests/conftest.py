@@ -7,11 +7,13 @@ way, the oracle another.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 
-from sobranch import GroupTag, Weight
+from sobranch import GroupTag, Weight, branch_enumerate
 
 
 def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, ...]]:
@@ -87,3 +89,35 @@ def theta_weights(group: GroupTag, max_entry: int) -> list[Weight]:
             entries = combo if group.is_even else combo + (0,)
             out.append(Weight(entries))
     return out
+
+
+def src_env() -> dict:
+    """Environment for a child interpreter that imports sobranch from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def reference_chain(big, target, psi):
+    """The exhaustive search that ``distinguishing_chain`` replaced, kept as
+    its reference: depth first over every target of ``branch_enumerate``,
+    memoized on the visited parameters, first success wins."""
+    memo = {}
+
+    def search(node):
+        if node.group.N == target.N:
+            chi = node.height == 0 and node.s.is_zero() and node.sig is psi
+            return (node,) if chi else None
+        if node in memo:
+            return memo[node]
+        result = None
+        for nxt in branch_enumerate(node):
+            tail = search(nxt)
+            if tail is not None:
+                result = (node,) + tail
+                break
+        memo[node] = result
+        return result
+
+    found = search(big)
+    return None if found is None else list(found)

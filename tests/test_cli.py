@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from sobranch.cli import main
+
+from conftest import src_env
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +239,35 @@ class TestExitCodes:
             "--langlands", "sigma=1,0;delta=+;lambda=0",
         )
         assert code == 3
+
+
+MALFORMED_ARGV = [
+    ["height", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=x;sig=-"],
+    ["height", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=;sig=+"],
+    ["signature", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1.5;sig=+"],
+    ["convert", "--group", "SO(5,1)", "--langlands", "sigma=2,0;delta=+;lambda=q"],
+    ["gp-check", "--group", "SO(3,1)", "--big", "sigma=2;delta=+", "--small", "sigma=;lambda=x"],
+    ["distinguished", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=x;sig=+"],
+    ["selftest", "--grids", "{tmp}/missing.json"],
+    ["selftest", "--grids", "{tmp}/notes.md"],
+    ["selftest", "--grids", "{tmp}/bad-bound.json", "--suite", "dim-conservation"],
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=lambda argv: " ".join(argv))
+    def test_exit_2_without_traceback(self, argv, tmp_path):
+        (tmp_path / "notes.md").write_text("# not JSON\n")
+        (tmp_path / "bad-bound.json").write_text(
+            json.dumps({"dim-conservation": {"max_so": "x", "max_entry": 2}})
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sobranch.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestDeterminism:

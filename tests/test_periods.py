@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -20,7 +23,7 @@ from sobranch import (
 from sobranch.errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
 
-from conftest import period_formula
+from conftest import period_formula, reference_chain, src_env
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -159,6 +162,28 @@ class TestDistinguishingChain:
         assert chain == [e, E(5, (1, 0, 0), 0, P), E(4, (0, 0), 0, P)]
         assert chain == distinguishing_chain(e, GroupTag(4), P)
 
+    def test_matches_reference_dfs(self):
+        # Every parameter with N <= 9 and entries <= 2, every target, both
+        # signs: same answer and same witness as the unpruned search.
+        cases = 0
+        for N in range(2, 10):
+            for e in grid_enhanced(GroupTag(N), 2):
+                for target in map(GroupTag, range(2, N + 1)):
+                    for psi in (P, M):
+                        expected = reference_chain(e, target, psi)
+                        assert distinguishing_chain(e, target, psi) == expected, (e, target, psi)
+                        cases += 1
+        assert cases == 6484
+
+    @pytest.mark.parametrize("N", [9, 11, 13])
+    def test_exhaustive_search_cliffs_are_fast(self, N):
+        # (N-1, N-3, ..., 0) at height 1 with sign - never reaches chi_+ on
+        # SO(3,1); the exhaustive search took seconds to say so.
+        e = E(N, tuple(range(N - 1, -1, -2)), 1, M)
+        start = time.perf_counter()
+        assert distinguishing_chain(e, GroupTag(3), P) is None
+        assert time.perf_counter() - start < 0.5
+
 
 class TestPeriodValue:
     def test_unit_at_height_zero(self):
@@ -201,6 +226,22 @@ class TestPeriodValue:
             period_value(4, 5)
         with pytest.raises(OutOfRangeError):
             period_value(4, -1)
+
+    def test_invalid_value_raises_under_optimize(self):
+        # The invariant is a package error, not an assert, so it survives -O.
+        code = (
+            "from fractions import Fraction\n"
+            "from sobranch.errors import SobranchError\n"
+            "from sobranch.periods import PeriodValue\n"
+            "try:\n"
+            "    PeriodValue(2, Fraction(1), 0)\n"
+            "except SobranchError:\n"
+            "    print('rejected')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=src_env(), capture_output=True, text=True
+        )
+        assert proc.stdout.strip() == "rejected", proc.stderr
 
     def test_json(self):
         assert period_value(3, 3).to_json() == {

@@ -202,6 +202,10 @@ class TestConversions:
         with pytest.raises(InvalidEnhancedError):
             EnhancedParam(GroupTag(4), W(0, 0), 3, P)
 
+    def test_rejects_bool_height(self):
+        with pytest.raises(InvalidEnhancedError):
+            EnhancedParam(GroupTag(5), W(0, 0, 0), True, P)
+
 
 class TestHeightSignature:
     def test_finite_dim_height_zero(self):

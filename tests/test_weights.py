@@ -75,6 +75,10 @@ class TestValidateWeight:
         with pytest.raises(NotMonotoneError):
             validate_weight((1, 0, -1), GroupTag(5))
 
+    def test_rejects_bool_entries(self):
+        with pytest.raises(NotMonotoneError):
+            Weight((True, False))
+
 
 class TestInfChar:
     def test_rho_so51(self):
