@@ -28,7 +28,7 @@ from .reps import (
     standard_sequence,
     theta_param_str,
 )
-from .weights import GroupTag, Weight, enumerate_interlacing, interlaces, validate_weight
+from .weights import GroupTag, Weight, check_weight, enumerate_interlacing, interlaces
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def finite_dim_branch(
     for N odd it ends nu_m >= lam_{m+1} with nu one entry shorter.  The sign
     label delta is inherited by every component.
     """
-    lam = validate_weight(lam.entries, group)
+    check_weight(lam, group)
     sub = group.subgroup
     flag_needed = not sub.is_even  # subgroup weights need a trailing zero
     out = []
@@ -93,7 +93,8 @@ def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
         )
     if not big.sig.matches(small.sig):
         return 0
-    if small.height not in (big.height, big.height - 1):
+    d = big.height - small.height
+    if d != 0 and d != 1:
         return 0
     return 1 if interlaces(big.s, small.s) else 0
 
@@ -152,8 +153,8 @@ def sb_diagram(
     request is rejected.
     """
     sub = group.subgroup
-    s = validate_weight(s.entries, group)
-    s_sub = validate_weight(s_sub.entries, sub)
+    check_weight(s, group)
+    check_weight(s_sub, sub)
     if not interlaces(s, s_sub):
         raise NotInterlacingError(
             f"weights {s} and {s_sub} do not interlace; the diagram is empty"

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import __version__
@@ -23,7 +23,7 @@ from .branching import (
     render_diagram,
 )
 from .cohomology import bilinear_gate, pairing_trivial_rho
-from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError
+from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError, UnknownSuiteError
 from .oracle import SUITE_NAMES, default_bounds, run_suite
 from .periods import (
     distinguished_subgroup,
@@ -407,6 +407,10 @@ def _load_grids(path: str) -> dict[str, dict[str, int]]:
         raise OutOfRangeError(f"grid file {path!r} must hold a JSON object")
     data.pop("_comment", None)
     for suite, bounds in data.items():
+        if suite not in SUITE_NAMES:
+            raise UnknownSuiteError(
+                f"grid file {path!r}: unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
+            )
         if not isinstance(bounds, dict):
             raise OutOfRangeError(f"grid file {path!r}: bounds of {suite!r} must be an object")
         for key, value in bounds.items():
@@ -418,12 +422,17 @@ def _load_grids(path: str) -> dict[str, dict[str, int]]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise OutOfRangeError(f"--jobs must be at least 1, got {args.jobs}")
     bounds_map = default_bounds()
     if args.grids:
         bounds_map.update(_load_grids(args.grids))
     names = args.suite or list(SUITE_NAMES)
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(names), os.cpu_count() or 1)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms; not on every start-up
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {name: pool.submit(run_suite, name, bounds_map.get(name)) for name in names}
             reports = [futures[name].result() for name in names]
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .branching import branch_enumerate, branch_states, multiplicity, signatures_at
@@ -141,28 +142,31 @@ def distinguished_subgroup(e: EnhancedParam) -> GroupTag:
     return GroupTag(e.group.n + 1 - e.height)
 
 
+@lru_cache(maxsize=1024)
 def _chain_states(
-    big: EnhancedParam, target: GroupTag, psi: Signature
-) -> list[set[tuple[int, Signature]]]:
-    """Entry k: the (height, signature) pairs on SO(target.N + k, 1) from
-    which k one-step branchings reach height 0 with sign ``psi``.
+    N: int, height: int, M: int, psi: Signature
+) -> tuple[frozenset[tuple[int, Signature]], ...]:
+    """Entry k: the (height, signature) pairs on SO(M + k, 1) from which k
+    one-step branchings reach height 0 with sign ``psi``, for a chain that
+    starts at this height on SO(N, 1).
 
-    Built level by level from the target up to ``big``'s group with the same
-    rule as ``branch_enumerate`` (``branch_states``).  Heights never grow
-    along a chain and drop by at most one per step, so only heights up to
-    min(k, big.height) are tried.
+    Built level by level from the target up to SO(N, 1) with the same rule
+    as ``branch_enumerate`` (``branch_states``).  Heights never grow along a
+    chain and drop by at most one per step, so only heights up to
+    min(k, height) are tried.  The table depends on nothing but the four
+    arguments, so it is cached.
     """
-    good = [{(0, psi)}]
-    for k in range(1, big.group.N - target.N + 1):
-        level, below = GroupTag(target.N + k), good[-1]
+    good = [frozenset({(0, psi)})]
+    for k in range(1, N - M + 1):
+        level, below = GroupTag(M + k), good[-1]
         sub = level.subgroup
-        good.append({
+        good.append(frozenset(
             (h, sig)
-            for h in range(min(level.top_height, k, big.height) + 1)
+            for h in range(min(level.top_height, k, height) + 1)
             for sig in signatures_at(level, h)
             if any(state in below for state in branch_states(sub, h, sig))
-        })
-    return good
+        ))
+    return tuple(good)
 
 
 def distinguishing_chain(
@@ -193,7 +197,7 @@ def distinguishing_chain(
         raise BadTargetError("psi must be a definite sign")
     if target.N > big.group.N:
         raise BadTargetError(f"{target} is not a subgroup of {big.group}")
-    good = _chain_states(big, target, psi)
+    good = _chain_states(big.group.N, big.height, target.N, psi)
 
     def feasible(node: EnhancedParam) -> bool:
         steps = node.group.N - target.N

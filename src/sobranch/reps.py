@@ -34,6 +34,7 @@ from .weights import (
     GroupTag,
     InfChar,
     Weight,
+    check_weight,
     infchar_finite_dim,
     infchar_principal_series,
     validate_weight,
@@ -61,7 +62,7 @@ class Signature(Enum):
 
     def matches(self, other: "Signature") -> bool:
         """Equality with BOTH matching either definite sign."""
-        return self is other or Signature.BOTH in (self, other)
+        return self is other or self is _BOTH or other is _BOTH
 
     @staticmethod
     def parse(text: str) -> "Signature":
@@ -74,6 +75,9 @@ class Signature(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+_BOTH = Signature.BOTH  # module-level: an enum class attribute lookup is slow
 
 
 def _require_definite(sig: Signature, what: str) -> None:
@@ -98,7 +102,7 @@ class FiniteDim:
     sig: Signature
 
     def __post_init__(self) -> None:
-        validate_weight(self.s.entries, self.group)
+        check_weight(self.s, self.group)
         _require_definite(self.sig, "finite-dimensional signature")
 
 
@@ -207,7 +211,7 @@ class EnhancedParam:
     sig: Signature
 
     def __post_init__(self) -> None:
-        validate_weight(self.s.entries, self.group)
+        check_weight(self.s, self.group)
         if type(self.height) is not int:
             raise InvalidEnhancedError(f"height must be an integer, got {self.height!r}")
         top = self.group.top_height
@@ -433,7 +437,7 @@ def hasse_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[Enhanced
     even it is the discrete series and carries the wildcard signature).
     """
     _require_definite(sig0, "sig0")
-    s = validate_weight(s.entries, group)
+    check_weight(s, group)
     out = []
     for i in range(group.top_height + 1):
         if group.is_even and i == group.top_height:
@@ -460,7 +464,7 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
     odd, one discrete series for N even).  Parameters are recovered by
     infinitesimal-character multiset matching via langlands_from_enhanced.
     """
-    s = validate_weight(s.entries, group)
+    check_weight(s, group)
     out: list[RepDescriptor] = []
     for i in range(group.top_height + 1):
         if group.is_even and i == group.top_height:

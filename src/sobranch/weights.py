@@ -164,12 +164,17 @@ def validate_weight(
     """Check a weight vector against the conventions for SO(N,1).
 
     The vector must have rank (N+1)//2 and be weakly decreasing and
-    nonnegative.  With ``assumption_a`` set and N odd, the trailing entry
-    must vanish (self-duality of the finite-dimensional anchor); for N even
-    there is no extra constraint.
+    nonnegative integers (no floats, no bools: ``Weight`` rejects them).
+    With ``assumption_a`` set and N odd, the trailing entry must vanish
+    (self-duality of the finite-dimensional anchor); for N even there is no
+    extra constraint.
     """
-    w = Weight(tuple(int(x) for x in entries))
-    if w.rank != group.rank:
+    return check_weight(Weight(tuple(entries)), group, assumption_a)
+
+
+def check_weight(w: Weight, group: GroupTag, assumption_a: bool = True) -> Weight:
+    """``validate_weight`` for an already constructed ``Weight``; returns it."""
+    if len(w.entries) != group.rank:
         raise WrongRankError(
             f"weight {w} has rank {w.rank}, but {group} needs rank {group.rank}"
         )
@@ -186,7 +191,7 @@ def infchar_finite_dim(group: GroupTag, s: Weight) -> InfChar:
     Entry j (1-based) is s_j + n/2 + 1 - j.  Regularity is automatic for a
     weakly decreasing weight, and asserted.
     """
-    s = validate_weight(s.entries, group)
+    check_weight(s, group)
     n = group.n
     doubled = [2 * s.entries[j] + n + 2 - 2 * (j + 1) for j in range(group.rank)]
     return InfChar.from_doubled(doubled)
@@ -217,16 +222,18 @@ def interlaces(mu: Weight, nu: Weight) -> bool:
     the chain ends ... >= mu_p >= nu_p (>= 0 automatically); with
     rank(nu) = rank(mu)-1 it ends ... >= nu_{p-1} >= mu_p.
     """
-    p = mu.rank
-    q = nu.rank
-    if q not in (p, p - 1):
+    m = mu.entries
+    n = nu.entries
+    p = len(m)
+    q = len(n)
+    if q != p and q != p - 1:
         raise RankMismatchError(
             f"rank(nu)={q} must be rank(mu)={p} or {p - 1} for interlacing"
         )
     for k in range(q):
-        if nu.entries[k] > mu.entries[k]:
+        if n[k] > m[k]:
             return False
-        if k + 1 < p and nu.entries[k] < mu.entries[k + 1]:
+        if k + 1 < p and n[k] < m[k + 1]:
             return False
     return True
 

@@ -121,3 +121,26 @@ def reference_chain(big, target, psi):
 
     found = search(big)
     return None if found is None else list(found)
+
+
+def reference_chi_twist(bounds):
+    """The per-pair chi-twist loop that ``oracle._suite_chi_twist`` replaced,
+    kept as its reference: two engine calls per case.  ``multiplicity`` and
+    ``twist_chi_minus`` are read from ``sobranch.oracle`` at call time, so a
+    monkeypatched engine reaches the reference and the suite alike."""
+    from sobranch import oracle
+
+    max_group = int(bounds.get("max_group", 11))
+    max_entry = int(bounds.get("max_entry", 4))
+    cases, failures = 0, []
+    for N in range(3, max_group + 1):
+        big_params = oracle.grid_enhanced(GroupTag(N), max_entry)
+        small_params = oracle.grid_enhanced(GroupTag(N - 1), max_entry)
+        twisted_small = [oracle.twist_chi_minus(p) for p in small_params]
+        for big in big_params:
+            tbig = oracle.twist_chi_minus(big)
+            for small, tsmall in zip(small_params, twisted_small):
+                cases += 1
+                if oracle.multiplicity(big, small) != oracle.multiplicity(tbig, tsmall):
+                    failures.append({"big": repr(big), "small": repr(small)})
+    return cases, failures

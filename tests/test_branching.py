@@ -27,6 +27,8 @@ from sobranch.errors import (
 )
 from sobranch.oracle import grid_enhanced, grid_weights
 
+from conftest import brute_interlacing, theta_weights
+
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
 
@@ -92,6 +94,31 @@ class TestMultiplicity:
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             multiplicity(E(5, (0, 0, 0), 0, P), E(3, (0, 0), 0, P))
+
+    def test_matches_three_condition_spec(self):
+        # Every pair with N <= 7 and entries <= 2, against the rule written
+        # out directly: signatures equal or one of them the wildcard, height
+        # drop 0 or 1, and the weights interlace (by raw filtering).
+        def params(group):
+            top = group.top_height
+            for s in theta_weights(group, 2):
+                for h in range(top + 1):
+                    sigs = (B,) if group.is_even and h == top else (P, M)
+                    for sig in sigs:
+                        yield EnhancedParam(group, s, h, sig)
+
+        for N in range(3, 8):
+            group, sub = GroupTag(N), GroupTag(N - 1)
+            smalls = list(params(sub))
+            for big in params(group):
+                below = set(brute_interlacing(big.s.entries, sub.rank))
+                for small in smalls:
+                    expected = (
+                        (big.sig == small.sig or B in (big.sig, small.sig))
+                        and big.height - small.height in (0, 1)
+                        and small.s.entries in below
+                    )
+                    assert multiplicity(big, small) == int(expected), (big, small)
 
 
 class TestBranchEnumerate:

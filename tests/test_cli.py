@@ -214,6 +214,73 @@ class TestSelftest:
         data = run_json(capsys, "selftest", "--suite", "trivial-rho-diagrams")
         assert [s["suite"] for s in data["suites"]] == ["trivial-rho-diagrams"]
 
+    def test_unknown_suite_key_in_grids_is_2(self, capsys, tmp_path):
+        # A misspelled suite must not fall back to the default bounds.
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"trivial-rho-diagram": {"max_n": 99}}))
+        code, out, err = run_cli(
+            capsys, "selftest", "--grids", str(grids), "--suite", "trivial-rho-diagrams"
+        )
+        assert code == 2 and out == ""
+        assert "unknown suite 'trivial-rho-diagram'" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "selftest", "--suite", "trivial-rho-diagrams", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --jobs")
+
+    def test_jobs_output_matches_serial(self, capsys, tmp_path):
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"chi-twist": {"max_group": 5, "max_entry": 1}}))
+        argv = ("selftest", "--grids", str(grids), "--suite", "chi-twist", "--suite", "roundtrip")
+        serial = run_cli(capsys, *argv)
+        parallel = run_cli(capsys, *argv, "--jobs", "2")
+        assert parallel == serial
+        assert serial[0] == 0
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [("3", 8, [2]), ("2", 1, []), ("2", None, []), ("1", 8, [])],
+    )
+    def test_jobs_clamped(self, capsys, monkeypatch, jobs, cpus, workers):
+        # K is clamped to min(K, suites, cpus); a pool of one is no pool.
+        # The pool is a stand-in, so no process is started.
+        import concurrent.futures
+        import os
+
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ("selftest", "--suite", "trivial-rho-diagrams", "--suite", "dim-conservation")
+        serial = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--jobs", jobs) == serial
+        assert seen == workers
+
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sobranch.cli; print('concurrent.futures' in sys.modules)"],
+            env=src_env(), capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
 
 class TestExitCodes:
     def test_constraint_violation_is_3(self, capsys):

@@ -1,10 +1,22 @@
 import pytest
 
-from sobranch import GroupTag, compact_branch_so, run_all, run_suite, weyl_dim
+import sobranch.oracle as oracle
+from sobranch import (
+    EnhancedParam,
+    GroupTag,
+    Signature,
+    Weight,
+    compact_branch_so,
+    run_all,
+    run_suite,
+    weyl_dim,
+)
+from sobranch.branching import multiplicity
 from sobranch.errors import NotMonotoneError, UnknownSuiteError, WrongRankError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, so_weights
+from sobranch.reps import twist_chi_minus
 
-from conftest import recursive_so_dim
+from conftest import recursive_so_dim, reference_chi_twist
 
 SMALL_BOUNDS = {
     "dim-conservation": {"max_so": 6, "max_entry": 2},
@@ -91,3 +103,50 @@ class TestSuites:
         assert data["passed"] is True
         assert data["failures"] == []
         assert data["cases_run"] == report.cases_run
+
+
+def _plus_always_one(big, small):
+    """An engine that breaks twist invariance: every PLUS row is all ones."""
+    return 1 if big.sig is Signature.PLUS else multiplicity(big, small)
+
+
+def _twist_leaving_grid(e):
+    """A twist that sends height-0 parameters outside the bounded grid."""
+    t = twist_chi_minus(e)
+    if e.height:
+        return t
+    s = Weight((e.s.entries[0] + 9,) + e.s.entries[1:])
+    return EnhancedParam(e.group, s, t.height, t.sig)
+
+
+class TestChiTwistDifferential:
+    BOUNDS = {"max_group": 7, "max_entry": 2}
+
+    @pytest.mark.parametrize(
+        "patch, broken",
+        [
+            ({}, False),
+            ({"multiplicity": _plus_always_one}, True),
+            ({"twist_chi_minus": _twist_leaving_grid}, True),
+        ],
+        ids=["engine", "broken-multiplicity", "twist-leaves-grid"],
+    )
+    def test_matches_per_pair_reference(self, monkeypatch, patch, broken):
+        for name, fn in patch.items():
+            monkeypatch.setattr(oracle, name, fn)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        assert (cases, failures) == reference_chi_twist(self.BOUNDS)
+        assert cases > 0
+        assert bool(failures) is broken
+
+    def test_each_case_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(big, small):
+            calls.append(None)
+            return multiplicity(big, small)
+
+        monkeypatch.setattr(oracle, "multiplicity", counted)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        assert not failures
+        assert len(calls) == cases

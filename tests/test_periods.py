@@ -175,6 +175,17 @@ class TestDistinguishingChain:
                         cases += 1
         assert cases == 6484
 
+    def test_state_table_cached_and_immutable(self):
+        # The (height, signature) table depends only on plain values, so
+        # one object serves every chain with the same (N, height, M, psi).
+        from sobranch.periods import _chain_states
+
+        table = _chain_states(9, 2, 3, P)
+        assert table is _chain_states(9, 2, 3, P)
+        assert isinstance(table, tuple) and len(table) == 7
+        assert all(isinstance(level, frozenset) for level in table)
+        assert _chain_states.cache_info().maxsize is not None
+
     @pytest.mark.parametrize("N", [9, 11, 13])
     def test_exhaustive_search_cliffs_are_fast(self, N):
         # (N-1, N-3, ..., 0) at height 1 with sign - never reaches chi_+ on

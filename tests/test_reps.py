@@ -24,7 +24,9 @@ from sobranch import (
 from sobranch.errors import (
     InvalidDescriptorError,
     InvalidEnhancedError,
+    NotSelfDualError,
     SingularInfCharError,
+    WrongRankError,
 )
 from sobranch.oracle import grid_weights
 from sobranch.reps import descriptor_from_json, descriptor_to_json, theta_param_str
@@ -205,6 +207,12 @@ class TestConversions:
     def test_rejects_bool_height(self):
         with pytest.raises(InvalidEnhancedError):
             EnhancedParam(GroupTag(5), W(0, 0, 0), True, P)
+
+    def test_rejects_weight_unfit_for_group(self):
+        with pytest.raises(WrongRankError):
+            EnhancedParam(GroupTag(5), W(0, 0), 0, P)
+        with pytest.raises(NotSelfDualError):
+            EnhancedParam(GroupTag(5), W(1, 1, 1), 0, P)
 
 
 class TestHeightSignature:

@@ -79,6 +79,12 @@ class TestValidateWeight:
         with pytest.raises(NotMonotoneError):
             Weight((True, False))
 
+    @pytest.mark.parametrize("entries", [(1.9, 0.5, 0), (True, False, False)])
+    def test_rejects_non_int_entries(self, entries):
+        # No truncation to (1, 0, 0): the entries are passed through as given.
+        with pytest.raises(NotMonotoneError):
+            validate_weight(entries, GroupTag(5))
+
 
 class TestInfChar:
     def test_rho_so51(self):
