@@ -24,7 +24,6 @@ from .cohomology import (
     PairingDescriptor,
     bilinear_gate,
     bilinear_nonzero_trivial_rho,
-    coefficient_weight,
     pairing_trivial_rho,
 )
 from .errors import SobranchError
@@ -35,7 +34,6 @@ from .periods import (
     PeriodValue,
     distinguished_subgroup,
     distinguishing_chain,
-    has_period,
     is_aq_lambda,
     minimal_k_type_trivial_rho,
     period_value,
@@ -94,7 +92,6 @@ __all__ = [
     "bilinear_nonzero_trivial_rho",
     "branch_enumerate",
     "classify",
-    "coefficient_weight",
     "compact_branch_so",
     "distinguished_subgroup",
     "distinguishing_chain",
@@ -103,7 +100,6 @@ __all__ = [
     "finite_dim_branch",
     "gp_tempered_check",
     "hasse_sequence",
-    "has_period",
     "height",
     "infchar_finite_dim",
     "infchar_principal_series",

@@ -25,6 +25,7 @@ from .reps import (
     Signature,
     TemperedPS,
     enhanced_from_langlands,
+    signatures_at,
     standard_sequence,
     theta_param_str,
 )
@@ -97,13 +98,6 @@ def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
     if d != 0 and d != 1:
         return 0
     return 1 if interlaces(big.s, small.s) else 0
-
-
-def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
-    """Signatures a parameter of this height on ``group`` may carry."""
-    if group.is_even and height == group.top_height:
-        return (Signature.BOTH,)
-    return (Signature.PLUS, Signature.MINUS)
 
 
 def branch_states(

@@ -205,16 +205,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_height(args: argparse.Namespace) -> int:
     group = GroupTag.parse(args.group)
     d = _descriptor_input(args, group)
-    payload = {"group": str(group), "height": height(d)}
-    _emit(args, payload, f"height {height(d)}")
+    h = height(d)
+    _emit(args, {"group": str(group), "height": h}, f"height {h}")
     return 0
 
 
 def _cmd_signature(args: argparse.Namespace) -> int:
     group = GroupTag.parse(args.group)
     d = _descriptor_input(args, group)
-    payload = {"group": str(group), "signature": signature(d).value}
-    _emit(args, payload, f"signature {signature(d).value}")
+    sig = signature(d).value
+    _emit(args, {"group": str(group), "signature": sig}, f"signature {sig}")
     return 0
 
 
@@ -369,6 +369,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     if args.gate is not None:
+        if args.group is None or args.enhanced is None:
+            raise OutOfRangeError("cohomology gate mode needs --group and --enhanced")
         group = GroupTag.parse(args.group)
         big = parse_enhanced(group, args.enhanced)
         small = parse_enhanced(group.subgroup, args.gate)
@@ -427,7 +429,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     bounds_map = default_bounds()
     if args.grids:
         bounds_map.update(_load_grids(args.grids))
-    names = args.suite or list(SUITE_NAMES)
+    names = list(dict.fromkeys(args.suite or SUITE_NAMES))  # a repeated --suite runs once
     jobs = min(args.jobs, len(names), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms; not on every start-up

@@ -15,7 +15,7 @@ from typing import Optional
 from .branching import multiplicity
 from .errors import GroupMismatchError, OutOfRangeError
 from .reps import EnhancedParam, Signature
-from .weights import GroupTag, Weight, interlaces, zero_weight
+from .weights import GroupTag, Weight, zero_weight
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,6 @@ class PairingDescriptor:
             "nonzero": self.nonzero,
             "rendering": self.rendering,
         }
-
-
-def coefficient_weight(e: EnhancedParam) -> Weight:
-    """Highest weight of the finite-dimensional coefficient module.
-
-    Nonvanishing cohomology forces the coefficient system to share the
-    representation's infinitesimal character, which pins its highest weight
-    to the theta-weight; any additional character twist is outside the scope
-    of the decision procedures here.
-    """
-    return e.s
 
 
 def bilinear_nonzero_trivial_rho(n: int, i: int, delta: Signature, j: int) -> bool:
@@ -131,25 +120,23 @@ def bilinear_gate(
 ) -> Optional[int]:
     """Degree in which a symmetry breaking operator induces a nonzero pairing.
 
-    Returns the common height when all five gate conditions hold: both
-    coefficient systems match the parameters, the coefficients themselves
-    admit a nonzero restriction map (interlacing), the heights agree, the
-    signatures agree, and the branching multiplicity is 1.  Otherwise None.
+    Returns the common height when all three gate conditions hold, and
+    None otherwise:
+
+    * each coefficient weight is the theta-weight of its parameter
+      (nonvanishing cohomology pins the coefficient module's highest weight
+      to the theta-weight; an extra character twist is out of scope);
+    * the heights agree;
+    * the branching multiplicity is 1.  With the coefficients pinned, this
+      already implies that the coefficients interlace and the signatures
+      match.
     """
     if small.group.N != big.group.N - 1:
         raise GroupMismatchError(
             f"{small.group} is not the rank-one subgroup of {big.group}"
         )
-    if coeff_big != coefficient_weight(big):
+    if coeff_big != big.s or coeff_small != small.s:
         return None
-    if coeff_small != coefficient_weight(small):
-        return None
-    if not interlaces(coeff_big, coeff_small):
-        return None
-    if big.height != small.height:
-        return None
-    if not big.sig.matches(small.sig):
-        return None
-    if multiplicity(big, small) != 1:
+    if big.height != small.height or multiplicity(big, small) != 1:
         return None
     return big.height

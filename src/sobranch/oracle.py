@@ -16,7 +16,7 @@ from importlib import resources
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from .branching import finite_dim_branch, multiplicity, sb_diagram
+from .branching import multiplicity, sb_diagram
 from .errors import NotMonotoneError, UnknownSuiteError, WrongRankError
 from .reps import (
     EnhancedParam,
@@ -24,6 +24,7 @@ from .reps import (
     Signature,
     classify,
     enhanced_from_langlands,
+    enhanced_params,
     langlands_from_enhanced,
     twist_chi_minus,
     _height_by_insertion,
@@ -121,15 +122,24 @@ def grid_weights(group: GroupTag, max_entry: int) -> Iterator[Weight]:
 
 def grid_enhanced(group: GroupTag, max_entry: int) -> list[EnhancedParam]:
     """Every enhanced parameter over the bounded weight grid, in classify order."""
-    out = []
-    for s in grid_weights(group, max_entry):
-        for i in range(group.top_height + 1):
-            if group.is_even and i == group.top_height:
-                out.append(EnhancedParam(group, s, i, Signature.BOTH))
-            else:
-                out.append(EnhancedParam(group, s, i, Signature.PLUS))
-                out.append(EnhancedParam(group, s, i, Signature.MINUS))
-    return out
+    return [e for s in grid_weights(group, max_entry) for e in enhanced_params(group, s)]
+
+
+def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
+    """Subgroup weights nu for which the finite-dimensional module of weight s
+    contains the one of weight nu when restricted to the subgroup.
+
+    Read off the compact branching SO(N+1) -> SO(N), whose finite-dimensional
+    modules are those of SO(N,1) -> SO(N-1,1): keep the nu with a
+    nonnegative last entry, and for an odd subgroup N only those ending in 0
+    (the self-dual family).
+    """
+    sub = group.subgroup
+    return {
+        Weight(nu)
+        for nu in compact_branch_so(group.N + 1, s.entries)
+        if nu[-1] >= 0 and (sub.is_even or nu[-1] == 0)
+    }
 
 
 def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
@@ -271,12 +281,8 @@ def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
         sub = group.subgroup
         sub_weights = list(grid_weights(sub, max_entry))
         for s in grid_weights(group, max_entry):
+            allowed = height0_targets(group, s)
             for delta in signs:
-                allowed = {
-                    c.nu
-                    for c in finite_dim_branch(group, s, delta)
-                    if c.self_dual
-                }
                 big = EnhancedParam(group, s, 0, delta)
                 for nu in sub_weights:
                     for eps in signs:

@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .branching import branch_enumerate, branch_states, multiplicity, signatures_at
+from .branching import branch_enumerate, branch_states
 from .errors import BadTargetError, NotAqLambdaError, OutOfRangeError
-from .reps import EnhancedParam, Signature
-from .weights import GroupTag, Weight, binomial
+from .reps import EnhancedParam, Signature, signatures_at
+from .weights import GroupTag, Weight
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class KTypeLabel:
 
     @property
     def dimension(self) -> int:
-        return binomial(self.ambient, self.degree)
+        return math.comb(self.ambient, self.degree)
 
     def pretty(self) -> str:
         return f"Λ^{self.degree}(C^{self.ambient}) ⊠ 1"
@@ -117,15 +117,6 @@ class KTypeLabel:
             "dimension": self.dimension,
             "pretty": self.pretty(),
         }
-
-
-def has_period(big: EnhancedParam, small: EnhancedParam) -> bool:
-    """Whether the outer tensor product carries a nonzero invariant functional.
-
-    At the parameter level this is the branching decision: same signature,
-    height drop 0 or 1, interlacing theta-weights.
-    """
-    return multiplicity(big, small) == 1
 
 
 def is_aq_lambda(e: EnhancedParam) -> Optional[AqDescriptor]:

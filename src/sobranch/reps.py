@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import (
     InvalidDescriptorError,
@@ -78,6 +78,20 @@ class Signature(Enum):
 
 
 _BOTH = Signature.BOTH  # module-level: an enum class attribute lookup is slow
+_DS_SLOT = (_BOTH,)
+_DEFINITE = (Signature.PLUS, Signature.MINUS)
+
+
+def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
+    """Signatures a parameter of this height on ``group`` may carry.
+
+    The discrete-series slot, the top height of an even-N group, carries
+    only the wildcard; every other height carries both definite signs.
+    This is the one place that knows where the slot is.
+    """
+    if group.is_even and height == group.top_height:
+        return _DS_SLOT
+    return _DEFINITE
 
 
 def _require_definite(sig: Signature, what: str) -> None:
@@ -219,14 +233,13 @@ class EnhancedParam:
             raise InvalidEnhancedError(
                 f"height {self.height} outside [0, {top}] for {self.group}"
             )
-        is_ds_slot = self.group.is_even and self.height == top
-        if is_ds_slot and self.sig is not Signature.BOTH:
+        if self.sig not in signatures_at(self.group, self.height):
+            if self.sig is _BOTH:
+                raise InvalidEnhancedError(
+                    "signature 'pm' only allowed at top height of an even-N group"
+                )
             raise InvalidEnhancedError(
                 f"top height {top} of {self.group} is the discrete series; signature must be 'pm'"
-            )
-        if not is_ds_slot and self.sig is Signature.BOTH:
-            raise InvalidEnhancedError(
-                f"signature 'pm' only allowed at top height of an even-N group"
             )
 
     def to_json(self) -> dict:
@@ -235,15 +248,6 @@ class EnhancedParam:
             "height": self.height,
             "signature": self.sig.value,
         }
-
-    @staticmethod
-    def from_json(group: GroupTag, data: dict) -> "EnhancedParam":
-        return EnhancedParam(
-            group,
-            Weight.from_json(data["weight"]),
-            int(data["height"]),
-            Signature.parse(data["signature"]),
-        )
 
     def __str__(self) -> str:
         return theta_param_str(self)
@@ -408,7 +412,7 @@ def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
             vals.append(v // 2)
         return Weight(tuple(vals))
 
-    if group.is_even and e.height == top:
+    if e.sig is _BOTH:  # only the discrete-series slot carries the wildcard
         lam = (a_doubled[-1] + n) // 2
         return DiscreteSeries(group, sigma_from(group.rank - 1), lam)
     lam2 = n - a_doubled[e.height]
@@ -438,14 +442,11 @@ def hasse_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[Enhanced
     """
     _require_definite(sig0, "sig0")
     check_weight(s, group)
-    out = []
-    for i in range(group.top_height + 1):
-        if group.is_even and i == group.top_height:
-            out.append(EnhancedParam(group, s, i, Signature.BOTH))
-        else:
-            eps = sig0.times_sign(i - s.entries[i] + s.entries[0])
-            out.append(EnhancedParam(group, s, i, eps))
-    return out
+    return [
+        EnhancedParam(group, s, i, _BOTH if _BOTH in signatures_at(group, i)
+                      else sig0.times_sign(i - s.entries[i] + s.entries[0]))
+        for i in range(group.top_height + 1)
+    ]
 
 
 def standard_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[EnhancedParam]:
@@ -456,6 +457,15 @@ def standard_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[Enhan
     return out
 
 
+def enhanced_params(group: GroupTag, s: Weight) -> Iterator[EnhancedParam]:
+    """The enhanced parameters of theta-weight s: every height from 0 to the
+    top, each with the signatures ``signatures_at`` admits there ('+' before
+    '-')."""
+    for i in range(group.top_height + 1):
+        for sig in signatures_at(group, i):
+            yield EnhancedParam(group, s, i, sig)
+
+
 def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
     """All irreducibles sharing the infinitesimal character of the weight s.
 
@@ -464,16 +474,7 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
     odd, one discrete series for N even).  Parameters are recovered by
     infinitesimal-character multiset matching via langlands_from_enhanced.
     """
-    check_weight(s, group)
-    out: list[RepDescriptor] = []
-    for i in range(group.top_height + 1):
-        if group.is_even and i == group.top_height:
-            out.append(
-                langlands_from_enhanced(EnhancedParam(group, s, i, Signature.BOTH))
-            )
-        else:
-            for sig in (Signature.PLUS, Signature.MINUS):
-                out.append(langlands_from_enhanced(EnhancedParam(group, s, i, sig)))
+    out = [langlands_from_enhanced(e) for e in enhanced_params(group, s)]
     if len(out) != group.n + 2:
         raise InvariantError(f"classify found {len(out)} parameters for {group}, not n + 2")
     return out
@@ -516,21 +517,3 @@ def descriptor_to_json(d: RepDescriptor) -> dict:
         "sigma": d.sigma.to_json(),
         "lambda": d.lam,
     }
-
-
-def descriptor_from_json(data: dict) -> RepDescriptor:
-    group = GroupTag.parse(data["group"])
-    variant = data["variant"]
-    if variant == "finite":
-        return FiniteDim(group, Weight.from_json(data["weight"]),
-                         Signature.parse(data["signature"]))
-    if variant == "nontempered":
-        return Nontempered(group, Weight.from_json(data["sigma"]),
-                           Signature.parse(data["delta"]), int(data["lambda"]))
-    if variant == "tempered":
-        return TemperedPS(group, Weight.from_json(data["sigma"]),
-                          Signature.parse(data["delta"]))
-    if variant == "discrete":
-        return DiscreteSeries(group, Weight.from_json(data["sigma"]),
-                              int(data["lambda"]))
-    raise InvalidDescriptorError(f"unknown descriptor variant {variant!r}")

@@ -7,7 +7,6 @@ every computation is exact; no floats appear anywhere.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,11 +56,6 @@ class GroupTag:
         return self.N % 2 == 0
 
     @property
-    def algebra_type(self) -> str:
-        """Type of the complexified algebra so(N+1,C): D for N odd, B for N even."""
-        return "D" if self.N % 2 == 1 else "B"
-
-    @property
     def subgroup(self) -> "GroupTag":
         return GroupTag(self.N - 1)
 
@@ -100,10 +94,6 @@ class Weight:
 
     def to_json(self) -> list[int]:
         return list(self.entries)
-
-    @staticmethod
-    def from_json(data: Sequence[int]) -> "Weight":
-        return Weight(tuple(int(x) for x in data))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
@@ -150,35 +140,28 @@ class InfChar:
     def to_json(self) -> dict:
         return {"doubled": list(self.doubled), "half_odd": self.half_odd}
 
-    @staticmethod
-    def from_json(data: dict) -> "InfChar":
-        return InfChar(tuple(int(x) for x in data["doubled"]), bool(data["half_odd"]))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries()) + ")"
 
 
-def validate_weight(
-    entries: Sequence[int], group: GroupTag, assumption_a: bool = True
-) -> Weight:
+def validate_weight(entries: Sequence[int], group: GroupTag) -> Weight:
     """Check a weight vector against the conventions for SO(N,1).
 
     The vector must have rank (N+1)//2 and be weakly decreasing and
     nonnegative integers (no floats, no bools: ``Weight`` rejects them).
-    With ``assumption_a`` set and N odd, the trailing entry must vanish
-    (self-duality of the finite-dimensional anchor); for N even there is no
-    extra constraint.
+    For N odd the trailing entry must vanish (self-duality of the
+    finite-dimensional anchor); for N even there is no extra constraint.
     """
-    return check_weight(Weight(tuple(entries)), group, assumption_a)
+    return check_weight(Weight(tuple(entries)), group)
 
 
-def check_weight(w: Weight, group: GroupTag, assumption_a: bool = True) -> Weight:
+def check_weight(w: Weight, group: GroupTag) -> Weight:
     """``validate_weight`` for an already constructed ``Weight``; returns it."""
     if len(w.entries) != group.rank:
         raise WrongRankError(
             f"weight {w} has rank {w.rank}, but {group} needs rank {group.rank}"
         )
-    if assumption_a and not group.is_even and w.entries[-1] != 0:
+    if not group.is_even and w.entries[-1] != 0:
         raise NotSelfDualError(
             f"weight {w} for {group}: trailing entry must vanish when N is odd"
         )
@@ -273,20 +256,15 @@ def count_interlacing(mu: Weight, target_rank: int) -> int:
     return total
 
 
-def weyl_dim(N: int, lam: Sequence[int], chirality: str | None = None) -> int:
+def weyl_dim(N: int, lam: Sequence[int]) -> int:
     """Exact dimension of the irreducible SO(N) module with highest weight lam.
 
     Product formula over the positive roots of types B (N odd) and D (N even),
     evaluated in big-integer rational arithmetic.  For N even the last entry
-    may be negative, or a chirality sign may be passed alongside a nonnegative
-    vector; the two mirror-image modules have equal dimension.
+    may be negative; the two mirror-image modules have equal dimension.
     """
     if N < 1:
         raise OutOfRangeError(f"weyl_dim needs N >= 1, got {N}")
-    if chirality not in (None, "+", "-"):
-        raise OutOfRangeError(f"chirality must be '+' or '-', got {chirality!r}")
-    if chirality is not None and N % 2 == 1:
-        raise OutOfRangeError("chirality flag only applies to even N")
     rank = N // 2
     lam = tuple(int(x) for x in lam)
     if len(lam) != rank:
@@ -320,7 +298,3 @@ def weyl_dim(N: int, lam: Sequence[int], chirality: str | None = None) -> int:
     if dim.denominator != 1 or dim <= 0:
         raise InvariantError(f"SO({N}) dimension of {lam} came out as {dim}")
     return int(dim)
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -13,7 +13,8 @@ from itertools import product
 from math import factorial
 from pathlib import Path
 
-from sobranch import GroupTag, Weight, branch_enumerate
+from sobranch import GroupTag, Weight, branch_enumerate, interlaces, multiplicity
+from sobranch.errors import GroupMismatchError
 
 
 def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, ...]]:
@@ -144,3 +145,23 @@ def reference_chi_twist(bounds):
                 if oracle.multiplicity(big, small) != oracle.multiplicity(tbig, tsmall):
                     failures.append({"big": repr(big), "small": repr(small)})
     return cases, failures
+
+
+def reference_bilinear_gate(big, small, coeff_big, coeff_small):
+    """The five-condition gate that ``cohomology.bilinear_gate`` replaced,
+    kept as its reference: coefficients match the theta-weights, the
+    coefficients interlace, equal heights, matching signatures, and
+    multiplicity 1."""
+    if small.group.N != big.group.N - 1:
+        raise GroupMismatchError(f"{small.group} is not the rank-one subgroup of {big.group}")
+    if coeff_big != big.s or coeff_small != small.s:
+        return None
+    if not interlaces(coeff_big, coeff_small):
+        return None
+    if big.height != small.height:
+        return None
+    if not big.sig.matches(small.sig):
+        return None
+    if multiplicity(big, small) != 1:
+        return None
+    return big.height

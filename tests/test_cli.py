@@ -214,6 +214,16 @@ class TestSelftest:
         data = run_json(capsys, "selftest", "--suite", "trivial-rho-diagrams")
         assert [s["suite"] for s in data["suites"]] == ["trivial-rho-diagrams"]
 
+    @pytest.mark.parametrize("fmt", ["--json", "--table"])
+    def test_repeated_suite_runs_once(self, capsys, fmt):
+        once = run_cli(capsys, "selftest", "--suite", "trivial-rho-diagrams", fmt)
+        twice = run_cli(
+            capsys, "selftest", "--suite", "trivial-rho-diagrams",
+            "--suite", "trivial-rho-diagrams", fmt,
+        )
+        assert twice == once
+        assert once[0] == 0
+
     def test_unknown_suite_key_in_grids_is_2(self, capsys, tmp_path):
         # A misspelled suite must not fall back to the default bounds.
         grids = tmp_path / "grids.json"
@@ -318,6 +328,8 @@ MALFORMED_ARGV = [
     ["selftest", "--grids", "{tmp}/missing.json"],
     ["selftest", "--grids", "{tmp}/notes.md"],
     ["selftest", "--grids", "{tmp}/bad-bound.json", "--suite", "dim-conservation"],
+    ["cohomology", "--gate", "0,0;h=1;sig=+"],
+    ["cohomology", "--group", "SO(3,1)", "--gate", "0;h=1;sig=+"],
 ]
 
 

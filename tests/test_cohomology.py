@@ -7,13 +7,14 @@ from sobranch import (
     Weight,
     bilinear_gate,
     bilinear_nonzero_trivial_rho,
-    coefficient_weight,
-    has_period,
+    multiplicity,
     pairing_trivial_rho,
     zero_weight,
 )
 from sobranch.errors import GroupMismatchError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
+
+from conftest import reference_bilinear_gate
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -27,14 +28,23 @@ def E(N, entries, h, sig):
 
 
 class TestCoefficientWeight:
+    """The gate's coefficient condition: each coefficient weight must be the
+    theta-weight of its parameter."""
+
     def test_trivial_rho(self):
-        assert coefficient_weight(E(5, (0, 0, 0), 1, P)) == W(0, 0, 0)
+        big, small = E(5, (0, 0, 0), 1, P), E(4, (0, 0), 1, P)
+        assert bilinear_gate(big, small, W(0, 0, 0), W(0, 0)) == 1
+        assert bilinear_gate(big, small, W(1, 0, 0), W(0, 0)) is None
 
     def test_general(self):
-        assert coefficient_weight(E(5, (1, 1, 0), 1, M)) == W(1, 1, 0)
+        big, small = E(5, (1, 1, 0), 1, M), E(4, (1, 1), 1, M)
+        assert bilinear_gate(big, small, W(1, 1, 0), W(1, 1)) == 1
+        assert bilinear_gate(big, small, W(1, 1, 0), W(1, 0)) is None
 
     def test_finite_dim(self):
-        assert coefficient_weight(E(4, (2, 1), 0, M)) == W(2, 1)
+        big, small = E(4, (2, 1), 0, M), E(3, (2, 0), 0, M)
+        assert bilinear_gate(big, small, W(2, 1), W(2, 0)) == 0
+        assert bilinear_gate(big, small, W(2, 0), W(2, 0)) is None
 
 
 class TestTrivialRhoTable:
@@ -137,4 +147,20 @@ class TestBilinearGate:
                     degree = bilinear_gate(big, small, big.s, small.s)
                     if degree is not None:
                         assert degree == big.height == small.height
-                        assert has_period(big, small)
+                        assert multiplicity(big, small) == 1
+
+    def test_matches_five_condition_reference(self):
+        for N in range(3, 8):
+            for big in grid_enhanced(GroupTag(N), 2):
+                zero_big = zero_weight(big.group.rank)
+                for small in grid_enhanced(GroupTag(N - 1), 2):
+                    zero_small = zero_weight(small.group.rank)
+                    for coeffs in (
+                        (big.s, small.s),
+                        (zero_big, zero_small),
+                        (big.s, zero_small),
+                        (zero_big, small.s),
+                    ):
+                        assert bilinear_gate(big, small, *coeffs) == reference_bilinear_gate(
+                            big, small, *coeffs
+                        ), (big, small, coeffs)

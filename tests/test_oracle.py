@@ -11,9 +11,9 @@ from sobranch import (
     run_suite,
     weyl_dim,
 )
-from sobranch.branching import multiplicity
+from sobranch.branching import finite_dim_branch, multiplicity
 from sobranch.errors import NotMonotoneError, UnknownSuiteError, WrongRankError
-from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, so_weights
+from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
 from sobranch.reps import twist_chi_minus
 
 from conftest import recursive_so_dim, reference_chi_twist
@@ -25,6 +25,14 @@ SMALL_BOUNDS = {
     "trivial-rho-diagrams": {"max_n": 6},
     "chi-twist": {"max_group": 6, "max_entry": 2},
     "height0-vs-finite": {"max_group": 6, "max_entry": 2},
+}
+SMALL_CASES = {
+    "dim-conservation": 37,
+    "roundtrip": 237,
+    "height-consistency": 237,
+    "trivial-rho-diagrams": 5,
+    "chi-twist": 4068,
+    "height0-vs-finite": 492,
 }
 
 
@@ -64,6 +72,19 @@ class TestGrids:
         lengths = {w.rank for w in grid_weights(GroupTag(6), 2)}
         assert lengths == {3}
 
+    def test_height0_targets_match_finite_dim_branch(self):
+        # The height0-vs-finite suite reads its expected set off the compact
+        # branching rule; on its default grid that set is the engine's.
+        bounds = default_bounds()["height0-vs-finite"]
+        weights = 0
+        for N in range(3, bounds["max_group"] + 1):
+            group = GroupTag(N)
+            for s in grid_weights(group, bounds["max_entry"]):
+                weights += 1
+                engine = {c.nu for c in finite_dim_branch(group, s, Signature.PLUS) if c.self_dual}
+                assert height0_targets(group, s) == engine, (N, s)
+        assert weights == 134
+
     def test_grid_weight_counts(self):
         # weakly decreasing tuples with entries <= 4: C(free + 4, 4)
         assert len(list(grid_weights(GroupTag(11), 4))) == 126
@@ -83,7 +104,7 @@ class TestSuites:
     def test_suite_passes(self, name):
         report = run_suite(name, SMALL_BOUNDS[name])
         assert report.passed, report.failures
-        assert report.cases_run > 0
+        assert report.cases_run == SMALL_CASES[name]
         assert report.suite == name
 
     def test_reports_reproducible(self):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from sobranch import (
     GroupTag,
-    InfChar,
     Weight,
     enumerate_interlacing,
     infchar_finite_dim,
@@ -38,9 +37,9 @@ class TestGroupTag:
 
     def test_derived_quantities(self):
         g = GroupTag(5)
-        assert (g.n, g.rank, g.top_height, g.algebra_type) == (4, 3, 2, "D")
+        assert (g.n, g.rank, g.top_height, g.is_even) == (4, 3, 2, False)
         g = GroupTag(4)
-        assert (g.n, g.rank, g.top_height, g.algebra_type) == (3, 2, 2, "B")
+        assert (g.n, g.rank, g.top_height, g.is_even) == (3, 2, 2, True)
 
     def test_rejects_small_n(self):
         with pytest.raises(OutOfRangeError):
@@ -59,10 +58,6 @@ class TestValidateWeight:
     def test_not_self_dual(self):
         with pytest.raises(NotSelfDualError):
             validate_weight((1, 1, 1), GroupTag(5))
-
-    def test_assumption_a_optional(self):
-        w = validate_weight((1, 1, 1), GroupTag(5), assumption_a=False)
-        assert w == W(1, 1, 1)
 
     def test_even_group_free_last_entry(self):
         assert validate_weight((2, 1), GroupTag(4)) == W(2, 1)
@@ -122,11 +117,6 @@ class TestInfChar:
         with pytest.raises(WrongRankError):
             infchar_principal_series(GroupTag(5), W(1, 0, 0), 1)
 
-    def test_json_roundtrip(self):
-        c = infchar_finite_dim(GroupTag(4), W(2, 1))
-        assert InfChar.from_json(c.to_json()) == c
-
-
 class TestInterlaces:
     def test_examples(self):
         assert interlaces(W(1, 0), W(1)) is True
@@ -177,7 +167,7 @@ class TestWeylDim:
     def test_spot_values(self):
         assert weyl_dim(5, (1, 0)) == 5
         assert weyl_dim(5, (1, 1)) == 10
-        assert weyl_dim(4, (1, 1), "+") == 3
+        assert weyl_dim(4, (1, 1)) == 3
 
     def test_small_rank_closed_forms(self):
         for a in range(5):
@@ -199,7 +189,7 @@ class TestWeylDim:
 
     def test_chirality_independent(self):
         assert weyl_dim(8, (2, 2, 1, 1)) == weyl_dim(8, (2, 2, 1, -1))
-        assert weyl_dim(6, (3, 1, 1), "+") == weyl_dim(6, (3, 1, -1))
+        assert weyl_dim(6, (3, 1, 1)) == weyl_dim(6, (3, 1, -1))
 
     def test_against_recursive_restriction(self):
         cases = [
@@ -222,8 +212,6 @@ class TestWeylDim:
             weyl_dim(5, (1, 0, 0))
         with pytest.raises(NotMonotoneError):
             weyl_dim(5, (0, 1))
-        with pytest.raises(OutOfRangeError):
-            weyl_dim(5, (1, 0), "+")  # chirality on odd N
 
     @given(
         n_half=st.integers(1, 4),
