@@ -10,7 +10,6 @@ tempered pairing check) is derived from that single decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -29,27 +28,29 @@ from .reps import (
     standard_sequence,
     theta_param_str,
 )
+from .values import Value, store
 from .weights import GroupTag, Weight, check_weight, enumerate_interlacing, interlaces
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Value):
     """One nonzero symmetry-breaking direction between sequence members."""
 
-    from_height: int
-    to_height: int
-    source: EnhancedParam
-    target: EnhancedParam
+    __slots__ = ("from_height", "to_height", "source", "target")
 
-    def __post_init__(self) -> None:
-        if self.to_height not in (self.from_height, self.from_height - 1):
+    def __init__(
+        self, from_height: int, to_height: int, source: EnhancedParam, target: EnhancedParam
+    ) -> None:
+        if to_height not in (from_height, from_height - 1):
             raise OutOfRangeError(
-                f"arrow {self.from_height} -> {self.to_height} must keep or drop the height by one"
+                f"arrow {from_height} -> {to_height} must keep or drop the height by one"
             )
+        store(self, "from_height", from_height)
+        store(self, "to_height", to_height)
+        store(self, "source", source)
+        store(self, "target", target)
 
 
-@dataclass(frozen=True)
-class FiniteDimComponent:
+class FiniteDimComponent(Value):
     """One summand of a restricted finite-dimensional module.
 
     ``self_dual`` is False when the summand falls outside the self-dual
@@ -57,9 +58,12 @@ class FiniteDimComponent:
     entry of nu is positive); such components are listed but flagged.
     """
 
-    nu: Weight
-    sig: Signature
-    self_dual: bool
+    __slots__ = ("nu", "sig", "self_dual")
+
+    def __init__(self, nu: Weight, sig: Signature, self_dual: bool) -> None:
+        store(self, "nu", nu)
+        store(self, "sig", sig)
+        store(self, "self_dual", self_dual)
 
 
 def finite_dim_branch(

@@ -3,6 +3,10 @@
 Output is JSON by default (machine mode) or aligned tables with --table.
 Exit codes: 0 success, 2 malformed parameters, 3 parameters outside the
 supported family, 4 verification-suite failure.
+
+Only ``weights`` and ``reps`` load with this module; a handler imports the
+rest of the library (``branching``, ``periods``, ``cohomology``, ``oracle``)
+when it runs, so a call loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -13,25 +17,8 @@ import os
 import sys
 from typing import Sequence
 
-from . import __version__
-from .branching import (
-    diagram_to_json,
-    finite_dim_branch,
-    branch_enumerate,
-    gp_tempered_check,
-    multiplicity,
-    render_diagram,
-)
-from .cohomology import bilinear_gate, pairing_trivial_rho
+from . import SUITE_NAMES, __version__
 from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError, UnknownSuiteError
-from .oracle import SUITE_NAMES, default_bounds, run_suite
-from .periods import (
-    distinguished_subgroup,
-    distinguishing_chain,
-    is_aq_lambda,
-    minimal_k_type_trivial_rho,
-    period_value,
-)
 from .reps import (
     DiscreteSeries,
     EnhancedParam,
@@ -236,6 +223,8 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def _cmd_branch(args: argparse.Namespace) -> int:
+    from .branching import branch_enumerate, multiplicity
+
     group = GroupTag.parse(args.group)
     big = parse_enhanced(group, args.enhanced)
     if args.to is not None:
@@ -264,6 +253,8 @@ def _cmd_branch(args: argparse.Namespace) -> int:
 
 
 def _cmd_branch_fd(args: argparse.Namespace) -> int:
+    from .branching import finite_dim_branch
+
     group = GroupTag.parse(args.group)
     lam = validate_weight(_parse_csv_ints(args.weight), group)
     delta = Signature.parse(args.delta)
@@ -284,6 +275,8 @@ def _cmd_branch_fd(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
+    from .branching import diagram_to_json, render_diagram
+
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     s_sub = validate_weight(_parse_csv_ints(args.subweight), group.subgroup)
@@ -294,6 +287,8 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def _cmd_gp_check(args: argparse.Namespace) -> int:
+    from .branching import gp_tempered_check
+
     group = GroupTag.parse(args.group)
     big = parse_langlands(group, args.big)
     small = parse_langlands(group.subgroup, args.small)
@@ -314,6 +309,8 @@ def _cmd_gp_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
+    from .periods import minimal_k_type_trivial_rho, period_value
+
     if args.ktype:
         label = minimal_k_type_trivial_rho(args.n, args.i)
         payload = {"n": args.n, "i": args.i, "minimal_k_type": label.to_json()}
@@ -326,6 +323,8 @@ def _cmd_period(args: argparse.Namespace) -> int:
 
 
 def _cmd_distinguished(args: argparse.Namespace) -> int:
+    from .periods import distinguished_subgroup, is_aq_lambda
+
     group = GroupTag.parse(args.group)
     e = parse_enhanced(group, args.enhanced)
     aq = is_aq_lambda(e)
@@ -345,6 +344,8 @@ def _cmd_distinguished(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    from .periods import distinguishing_chain
+
     group = GroupTag.parse(args.group)
     e = parse_enhanced(group, args.enhanced)
     target = GroupTag.parse(args.target)
@@ -368,6 +369,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
+    from .cohomology import bilinear_gate, pairing_trivial_rho
+
     if args.gate is not None:
         if args.group is None or args.enhanced is None:
             raise OutOfRangeError("cohomology gate mode needs --group and --enhanced")
@@ -389,6 +392,12 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         }
         _emit(args, payload, f"degree {degree}")
         return 0
+    stray = [flag for flag, value in (
+        ("--group", args.group), ("--enhanced", args.enhanced),
+        ("--coeff", args.coeff), ("--subcoeff", args.subcoeff),
+    ) if value is not None]
+    if stray:
+        raise OutOfRangeError(f"cohomology {', '.join(stray)} only apply in gate mode (--gate)")
     if args.n is None or args.i is None or args.j is None:
         raise OutOfRangeError("cohomology needs --n, --i and --j (or gate mode flags)")
     delta = Signature.parse(args.delta)
@@ -424,6 +433,8 @@ def _load_grids(path: str) -> dict[str, dict[str, int]]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .oracle import default_bounds, run_suite
+
     if args.jobs < 1:
         raise OutOfRangeError(f"--jobs must be at least 1, got {args.jobs}")
     bounds_map = default_bounds()

@@ -9,17 +9,16 @@ dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .branching import multiplicity
 from .errors import GroupMismatchError, OutOfRangeError
 from .reps import EnhancedParam, Signature
+from .values import Value, store
 from .weights import GroupTag, Weight, zero_weight
 
 
-@dataclass(frozen=True)
-class PairingDescriptor:
+class PairingDescriptor(Value):
     """One induced bilinear form between cohomology groups in complementary degrees.
 
     The left factor is the height-i member over SO(n+1,1) in degree j; the
@@ -29,16 +28,34 @@ class PairingDescriptor:
     produced the right-hand label.
     """
 
-    n: int
-    degree_j: int
-    left: EnhancedParam
-    left_coeff: Weight
-    right_group: GroupTag
-    right_index: int
-    right_sig: Signature
-    right_coeff: Weight
-    nonzero: bool
-    rendering: str
+    __slots__ = (
+        "n", "degree_j", "left", "left_coeff", "right_group",
+        "right_index", "right_sig", "right_coeff", "nonzero", "rendering",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        degree_j: int,
+        left: EnhancedParam,
+        left_coeff: Weight,
+        right_group: GroupTag,
+        right_index: int,
+        right_sig: Signature,
+        right_coeff: Weight,
+        nonzero: bool,
+        rendering: str,
+    ) -> None:
+        store(self, "n", n)
+        store(self, "degree_j", degree_j)
+        store(self, "left", left)
+        store(self, "left_coeff", left_coeff)
+        store(self, "right_group", right_group)
+        store(self, "right_index", right_index)
+        store(self, "right_sig", right_sig)
+        store(self, "right_coeff", right_coeff)
+        store(self, "nonzero", nonzero)
+        store(self, "rendering", rendering)
 
     @property
     def right_degree(self) -> int:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
+from . import SUITE_NAMES
 from .branching import multiplicity, sb_diagram
 from .errors import NotMonotoneError, UnknownSuiteError, WrongRankError
 from .reps import (
@@ -30,17 +30,29 @@ from .reps import (
     _height_by_insertion,
     _height_by_intervals,
 )
+from .values import Value
 from .weights import GroupTag, Weight, weyl_dim, zero_weight
 
 
-@dataclass
-class SuiteReport:
-    """Outcome of one verification sweep; empty failures means pass."""
+class SuiteReport(Value):
+    """Outcome of one verification sweep; empty failures means pass.
 
-    suite: str
-    cases_run: int
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    Unlike the package's other records a report is mutable, and therefore
+    unhashable.
+    """
+
+    __slots__ = ("suite", "cases_run", "failures", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, suite: str, cases_run: int, failures: list | None = None, elapsed: float = 0.0
+    ) -> None:
+        self.suite = suite
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -67,12 +79,15 @@ def compact_branch_so(N: int, lam: Sequence[int]) -> list[tuple[int, ...]]:
     Weights follow the compact convention: the last entry of an even-rank
     weight may be negative (the two mirror classes).  For N = 2k+1 the
     components are mu_1 >= nu_1 >= ... >= mu_k >= |nu_k|; for N = 2k they
-    are mu_1 >= nu_1 >= ... >= nu_{k-1} >= |mu_k|.
+    are mu_1 >= nu_1 >= ... >= nu_{k-1} >= |mu_k|.  Entries must be
+    integers (no floats, no bools).
     """
     if N < 2:
         raise WrongRankError(f"branching needs N >= 2, got {N}")
     k = N // 2
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
+    if any(type(x) is not int for x in lam):
+        raise NotMonotoneError(f"SO({N}) weight entries must be integers: {lam}")
     if len(lam) != k:
         raise WrongRankError(f"SO({N}) weight needs rank {k}, got {len(lam)}")
     body, last = lam[:-1], lam[-1] if lam else 0
@@ -304,16 +319,10 @@ def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
+# Suite "a-b" runs _suite_a_b; the names and their order are the package's SUITE_NAMES.
 _SUITES: dict[str, Callable[[dict], tuple[int, list]]] = {
-    "dim-conservation": _suite_dim_conservation,
-    "roundtrip": _suite_roundtrip,
-    "height-consistency": _suite_height_consistency,
-    "trivial-rho-diagrams": _suite_trivial_rho_diagrams,
-    "chi-twist": _suite_chi_twist,
-    "height0-vs-finite": _suite_height0_vs_finite,
+    name: globals()["_suite_" + name.replace("-", "_")] for name in SUITE_NAMES
 }
-
-SUITE_NAMES = tuple(_SUITES)
 
 
 def default_bounds() -> dict:

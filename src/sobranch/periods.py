@@ -13,28 +13,29 @@ is computed in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .branching import branch_enumerate, branch_states
 from .errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from .reps import EnhancedParam, Signature, signatures_at
+from .values import Value, store
 from .weights import GroupTag, Weight
 
 
-@dataclass(frozen=True)
-class AqDescriptor:
+class AqDescriptor(Value):
     """Cohomological induction data behind a parameter with all-zero tail.
 
     The parabolic index equals the height ``i``; the inducing degree is
     i(n-i), and the Levi factor is SO(2)^i x SO(n-2i+1,1).
     """
 
-    group: GroupTag
-    i: int
-    lambda_part: Weight
+    __slots__ = ("group", "i", "lambda_part")
+
+    def __init__(self, group: GroupTag, i: int, lambda_part: Weight) -> None:
+        store(self, "group", group)
+        store(self, "i", i)
+        store(self, "lambda_part", lambda_part)
 
     @property
     def inducing_degree(self) -> int:
@@ -56,33 +57,34 @@ class AqDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class PeriodValue:
-    """Exact value sign * rational * pi^(pi_quarters/4)."""
+class PeriodValue(Value):
+    """Exact value sign * rational * pi^(pi_quarters/4); ``rational`` is a ``Fraction``."""
 
-    sign: int
-    rational: Fraction
-    pi_quarters: int
+    __slots__ = ("sign", "rational", "pi_quarters")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1) or self.rational <= 0:
+    def __init__(self, sign: int, rational, pi_quarters: int) -> None:
+        if sign not in (1, -1) or rational <= 0:
             raise OutOfRangeError(
                 f"period value needs sign +-1 and a positive rational, "
-                f"got {self.sign} and {self.rational}"
+                f"got {sign} and {rational}"
             )
+        store(self, "sign", sign)
+        store(self, "rational", rational)
+        store(self, "pi_quarters", pi_quarters)
 
     def pretty(self) -> str:
         parts = []
         if self.rational != 1 or self.pi_quarters == 0:
             parts.append(str(self.rational))
         if self.pi_quarters != 0:
-            q = Fraction(self.pi_quarters, 4)
-            if q == 1:
+            g = math.gcd(self.pi_quarters, 4)
+            num, den = self.pi_quarters // g, 4 // g
+            if self.pi_quarters == 4:
                 parts.append("π")
-            elif q.denominator == 1:
-                parts.append(f"π^{q.numerator}")
+            elif den == 1:
+                parts.append(f"π^{num}")
             else:
-                parts.append(f"π^{{{q.numerator}/{q.denominator}}}")
+                parts.append(f"π^{{{num}/{den}}}")
         text = "·".join(parts)
         return f"-{text}" if self.sign < 0 else text
 
@@ -96,12 +98,14 @@ class PeriodValue:
         }
 
 
-@dataclass(frozen=True)
-class KTypeLabel:
+class KTypeLabel(Value):
     """Minimal K-type: the degree-``degree`` exterior power of C^ambient, trivial O(1) part."""
 
-    degree: int
-    ambient: int
+    __slots__ = ("degree", "ambient")
+
+    def __init__(self, degree: int, ambient: int) -> None:
+        store(self, "degree", degree)
+        store(self, "ambient", ambient)
 
     @property
     def dimension(self) -> int:
@@ -212,6 +216,8 @@ def period_value(n: int, i: int) -> PeriodValue:
     """
     if not 0 <= i <= n:
         raise OutOfRangeError(f"period_value needs 0 <= i <= n, got i={i}, n={n}")
+    from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
+
     quarters = i * (2 * n - i - 1)
     base = Fraction(math.factorial(n - i)) ** (1 - i)
     if 2 * i < n + 1:

@@ -18,7 +18,6 @@ the slot where the continuous parameter lands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
 
@@ -39,6 +38,7 @@ from .weights import (
     infchar_principal_series,
     validate_weight,
 )
+from .values import Value, store
 
 
 class Signature(Enum):
@@ -107,21 +107,20 @@ def _validate_sigma(group: GroupTag, sigma: Weight) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FiniteDim:
+class FiniteDim(Value):
     """Finite-dimensional module with highest weight s and sign label sig."""
 
-    group: GroupTag
-    s: Weight
-    sig: Signature
+    __slots__ = ("group", "s", "sig")
 
-    def __post_init__(self) -> None:
-        check_weight(self.s, self.group)
-        _require_definite(self.sig, "finite-dimensional signature")
+    def __init__(self, group: GroupTag, s: Weight, sig: Signature) -> None:
+        check_weight(s, group)
+        _require_definite(sig, "finite-dimensional signature")
+        store(self, "group", group)
+        store(self, "s", s)
+        store(self, "sig", sig)
 
 
-@dataclass(frozen=True)
-class Nontempered:
+class Nontempered(Value):
     """Unique subrepresentation of the induced module I_delta(sigma, lam).
 
     lam is integral, lies below the tempered wall 2*lam < n, and avoids the
@@ -129,58 +128,58 @@ class Nontempered:
     be self-dual (last entry zero).
     """
 
-    group: GroupTag
-    sigma: Weight
-    delta: Signature
-    lam: int
+    __slots__ = ("group", "sigma", "delta", "lam")
 
-    def __post_init__(self) -> None:
-        _validate_sigma(self.group, self.sigma)
-        _require_definite(self.delta, "delta")
-        n = self.group.n
-        sig_e = self.sigma.entries
-        if not self.group.is_even and sig_e and sig_e[-1] != 0:
+    def __init__(self, group: GroupTag, sigma: Weight, delta: Signature, lam: int) -> None:
+        _validate_sigma(group, sigma)
+        _require_definite(delta, "delta")
+        n = group.n
+        sig_e = sigma.entries
+        if not group.is_even and sig_e and sig_e[-1] != 0:
             raise InvalidDescriptorError(
-                f"sigma {self.sigma} must be self-dual (last entry 0) for {self.group}"
+                f"sigma {sigma} must be self-dual (last entry 0) for {group}"
             )
-        if 2 * self.lam >= n:
+        if 2 * lam >= n:
             raise InvalidDescriptorError(
-                f"lam={self.lam} is not below the tempered wall n/2={n}/2"
+                f"lam={lam} is not below the tempered wall n/2={n}/2"
             )
         excluded = {k + 1 - sig_e[k] for k in range(len(sig_e))}
-        if self.lam in excluded:
+        if lam in excluded:
             raise SingularInfCharError(
-                f"lam={self.lam} hits a reducibility wall for sigma {self.sigma}"
+                f"lam={lam} hits a reducibility wall for sigma {sigma}"
             )
+        store(self, "group", group)
+        store(self, "sigma", sigma)
+        store(self, "delta", delta)
+        store(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class TemperedPS:
+class TemperedPS(Value):
     """Tempered principal series of SO(N,1), N odd, at lam = n/2.
 
     sigma is stored with positive last entry, the canonical member of the
     mirror pair sigma <-> sigma^vee that induces isomorphic modules.
     """
 
-    group: GroupTag
-    sigma: Weight
-    delta: Signature
+    __slots__ = ("group", "sigma", "delta")
 
-    def __post_init__(self) -> None:
-        if self.group.is_even:
+    def __init__(self, group: GroupTag, sigma: Weight, delta: Signature) -> None:
+        if group.is_even:
             raise InvalidDescriptorError(
-                f"tempered principal series requires N odd, got {self.group}"
+                f"tempered principal series requires N odd, got {group}"
             )
-        _validate_sigma(self.group, self.sigma)
-        _require_definite(self.delta, "delta")
-        if self.sigma.entries[-1] <= 0:
+        _validate_sigma(group, sigma)
+        _require_definite(delta, "delta")
+        if sigma.entries[-1] <= 0:
             raise InvalidDescriptorError(
-                f"tempered sigma must have positive last entry, got {self.sigma}"
+                f"tempered sigma must have positive last entry, got {sigma}"
             )
+        store(self, "group", group)
+        store(self, "sigma", sigma)
+        store(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class DiscreteSeries:
+class DiscreteSeries(Value):
     """Discrete series of SO(N,1), N even, with m <= lam <= m - 1 + sigma_{m-1}.
 
     The two square-integrable halves are isomorphic as modules for the
@@ -188,30 +187,30 @@ class DiscreteSeries:
     signature is the wildcard BOTH.
     """
 
-    group: GroupTag
-    sigma: Weight
-    lam: int
+    __slots__ = ("group", "sigma", "lam")
 
-    def __post_init__(self) -> None:
-        if not self.group.is_even:
+    def __init__(self, group: GroupTag, sigma: Weight, lam: int) -> None:
+        if not group.is_even:
             raise InvalidDescriptorError(
-                f"discrete series requires N even, got {self.group}"
+                f"discrete series requires N even, got {group}"
             )
-        _validate_sigma(self.group, self.sigma)
-        m = self.group.N // 2
-        if self.lam < m:
-            raise InvalidDescriptorError(f"discrete series needs lam >= {m}, got {self.lam}")
-        if self.sigma.rank >= 1 and self.lam > m - 1 + self.sigma.entries[-1]:
+        _validate_sigma(group, sigma)
+        m = group.N // 2
+        if lam < m:
+            raise InvalidDescriptorError(f"discrete series needs lam >= {m}, got {lam}")
+        if sigma.rank >= 1 and lam > m - 1 + sigma.entries[-1]:
             raise InvalidDescriptorError(
-                f"lam={self.lam} exceeds m-1+sigma_(m-1)={m - 1 + self.sigma.entries[-1]}"
+                f"lam={lam} exceeds m-1+sigma_(m-1)={m - 1 + sigma.entries[-1]}"
             )
+        store(self, "group", group)
+        store(self, "sigma", sigma)
+        store(self, "lam", lam)
 
 
 RepDescriptor = Union[FiniteDim, Nontempered, TemperedPS, DiscreteSeries]
 
 
-@dataclass(frozen=True)
-class EnhancedParam:
+class EnhancedParam(Value):
     """Enhanced parameter (theta-weight, height, signature) of a representation.
 
     Invariants: 0 <= height <= floor(N/2); the signature is BOTH exactly when
@@ -219,28 +218,39 @@ class EnhancedParam:
     height 0 corresponds to the finite-dimensional members.
     """
 
-    group: GroupTag
-    s: Weight
-    height: int
-    sig: Signature
+    __slots__ = ("group", "s", "height", "sig")
 
-    def __post_init__(self) -> None:
-        check_weight(self.s, self.group)
-        if type(self.height) is not int:
-            raise InvalidEnhancedError(f"height must be an integer, got {self.height!r}")
-        top = self.group.top_height
-        if not 0 <= self.height <= top:
+    def __init__(self, group: GroupTag, s: Weight, height: int, sig: Signature) -> None:
+        check_weight(s, group)
+        if type(height) is not int:
+            raise InvalidEnhancedError(f"height must be an integer, got {height!r}")
+        top = group.top_height
+        if not 0 <= height <= top:
             raise InvalidEnhancedError(
-                f"height {self.height} outside [0, {top}] for {self.group}"
+                f"height {height} outside [0, {top}] for {group}"
             )
-        if self.sig not in signatures_at(self.group, self.height):
-            if self.sig is _BOTH:
+        if sig not in signatures_at(group, height):
+            if sig is _BOTH:
                 raise InvalidEnhancedError(
                     "signature 'pm' only allowed at top height of an even-N group"
                 )
             raise InvalidEnhancedError(
-                f"top height {top} of {self.group} is the discrete series; signature must be 'pm'"
+                f"top height {top} of {group} is the discrete series; signature must be 'pm'"
             )
+        store(self, "group", group)
+        store(self, "s", s)
+        store(self, "height", height)
+        store(self, "sig", sig)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.group, self.s, self.height, self.sig) == (
+                other.group, other.s, other.height, other.sig
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.s, self.height, self.sig))
 
     def to_json(self) -> dict:
         return {

@@ -8,8 +8,6 @@ every computation is exact; no floats appear anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -22,19 +20,28 @@ from .errors import (
     SingularInfCharError,
     WrongRankError,
 )
+from .values import Ordered, Value, store
 
 _GROUP_RE = re.compile(r"SO\(\s*(\d+)\s*,\s*1\s*\)")
 
 
-@dataclass(frozen=True, order=True)
-class GroupTag:
+class GroupTag(Ordered):
     """The Lorentz group SO(N,1); its rank-one subgroup is SO(N-1,1)."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self) -> None:
-        if self.N < 2:
-            raise OutOfRangeError(f"SO({self.N},1) not supported; need N >= 2")
+    def __init__(self, N: int) -> None:
+        if N < 2:
+            raise OutOfRangeError(f"SO({N},1) not supported; need N >= 2")
+        store(self, "N", N)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.N == other.N
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.N,))
 
     @property
     def n(self) -> int:
@@ -70,20 +77,28 @@ class GroupTag:
         return f"SO({self.N},1)"
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(Ordered):
     """Weakly decreasing vector of nonnegative integers."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        e = self.entries
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        e = entries
         if any(type(x) is not int for x in e):
             raise NotMonotoneError(f"weight entries must be integers: {e}")
         if any(x < 0 for x in e):
             raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
         if any(e[k] < e[k + 1] for k in range(len(e) - 1)):
             raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
+        store(self, "entries", e)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @property
     def rank(self) -> int:
@@ -103,8 +118,7 @@ def zero_weight(rank: int) -> Weight:
     return Weight((0,) * rank)
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(Value):
     """Regular integral infinitesimal character, stored as doubled entries.
 
     ``doubled`` holds twice the Harish-Chandra parameter entries, sorted
@@ -112,16 +126,17 @@ class InfChar:
     half-odd-integers (doubled entries odd) or integers (doubled even).
     """
 
-    doubled: tuple[int, ...]
-    half_odd: bool
+    __slots__ = ("doubled", "half_odd")
 
-    def __post_init__(self) -> None:
-        d = self.doubled
+    def __init__(self, doubled: tuple[int, ...], half_odd: bool) -> None:
+        d = doubled
         if any(d[k] <= d[k + 1] for k in range(len(d) - 1)):
             raise SingularInfCharError(f"entries must be strictly decreasing: {d}")
-        want = 1 if self.half_odd else 0
+        want = 1 if half_odd else 0
         if any(x % 2 != want for x in d):
             raise SingularInfCharError(f"entries must share one parity: {d}")
+        store(self, "doubled", doubled)
+        store(self, "half_odd", half_odd)
 
     @staticmethod
     def from_doubled(values: Sequence[int]) -> "InfChar":
@@ -134,7 +149,10 @@ class InfChar:
         half_odd = bool(ordered and ordered[0] % 2)
         return InfChar(ordered, half_odd)
 
-    def entries(self) -> tuple[Fraction, ...]:
+    def entries(self) -> tuple:
+        """The true entries, as ``Fraction`` halves."""
+        from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
+
         return tuple(Fraction(x, 2) for x in self.doubled)
 
     def to_json(self) -> dict:
@@ -260,13 +278,17 @@ def weyl_dim(N: int, lam: Sequence[int]) -> int:
     """Exact dimension of the irreducible SO(N) module with highest weight lam.
 
     Product formula over the positive roots of types B (N odd) and D (N even),
-    evaluated in big-integer rational arithmetic.  For N even the last entry
-    may be negative; the two mirror-image modules have equal dimension.
+    evaluated as one big-integer quotient of the numerator and denominator
+    products.  Entries must be integers (no floats, no bools).  For N even
+    the last entry may be negative; the two mirror-image modules have equal
+    dimension.
     """
     if N < 1:
         raise OutOfRangeError(f"weyl_dim needs N >= 1, got {N}")
     rank = N // 2
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
+    if any(type(x) is not int for x in lam):
+        raise NotMonotoneError(f"SO({N}) weight entries must be integers: {lam}")
     if len(lam) != rank:
         raise WrongRankError(f"SO({N}) weight needs rank {rank}, got {len(lam)}")
     if rank == 0:
@@ -282,19 +304,20 @@ def weyl_dim(N: int, lam: Sequence[int]) -> int:
         # Type B: doubled coordinates l_i = 2(lam_i + rank - i) + 1 stay integral.
         ell = [2 * (lam[i] + rank - 1 - i) + 1 for i in range(rank)]
         rho = [2 * (rank - 1 - i) + 1 for i in range(rank)]
-        dim = Fraction(1)
+        num, den = 1, 1
         for i in range(rank):
-            dim *= Fraction(ell[i], rho[i])
-            for j in range(i + 1, rank):
-                dim *= Fraction(ell[i] ** 2 - ell[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+            num *= ell[i]
+            den *= rho[i]
     else:
         # Type D: l_i = lam_i + rank - i; short-root factor absent.
         ell = [lam[i] + rank - 1 - i for i in range(rank)]
         rho = [rank - 1 - i for i in range(rank)]
-        dim = Fraction(1)
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                dim *= Fraction(ell[i] ** 2 - ell[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
-    if dim.denominator != 1 or dim <= 0:
-        raise InvariantError(f"SO({N}) dimension of {lam} came out as {dim}")
-    return int(dim)
+        num, den = 1, 1
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            num *= ell[i] ** 2 - ell[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise InvariantError(f"SO({N}) dimension of {lam} came out as {num}/{den}")
+    return dim

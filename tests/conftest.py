@@ -81,6 +81,31 @@ def period_formula(n: int, i: int) -> tuple[int, Fraction, int]:
     return sign, abs(value), quarters
 
 
+def reference_weyl_dim(N: int, lam: tuple[int, ...]) -> int:
+    """The rational-arithmetic Weyl dimension formula that ``weyl_dim``
+    replaced with one integer quotient, kept as its reference: every root
+    factor is multiplied in as a ``Fraction``."""
+    rank = N // 2
+    assert len(lam) == rank
+    if rank == 0:
+        return 1
+    lam = lam[:-1] + (abs(lam[-1]),)
+    dim = Fraction(1)
+    if N % 2 == 1:
+        ell = [2 * (lam[i] + rank - 1 - i) + 1 for i in range(rank)]
+        rho = [2 * (rank - 1 - i) + 1 for i in range(rank)]
+        for i in range(rank):
+            dim *= Fraction(ell[i], rho[i])
+    else:
+        ell = [lam[i] + rank - 1 - i for i in range(rank)]
+        rho = [rank - 1 - i for i in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            dim *= Fraction(ell[i] ** 2 - ell[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
 def theta_weights(group: GroupTag, max_entry: int) -> list[Weight]:
     """Exhaustive theta-weight grid, independent of the package's generator."""
     free = group.rank if group.is_even else group.rank - 1

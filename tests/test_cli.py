@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sobranch.cli import main
 
@@ -284,12 +287,50 @@ class TestSelftest:
         assert seen == workers
 
     def test_cli_import_leaves_process_pool_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, sobranch.cli; print('concurrent.futures' in sys.modules)"],
-            env=src_env(), capture_output=True, text=True, check=True,
+        # The rest of the import footprint too: no dataclasses (with inspect),
+        # no fractions (with decimal), and none of the modules classify skips.
+        assert loaded_after("import sobranch.cli", HEAVY_STDLIB + UNUSED_BY_CLASSIFY) == []
+
+
+HEAVY_STDLIB = ["concurrent.futures", "dataclasses", "inspect", "fractions", "decimal"]
+UNUSED_BY_CLASSIFY = [
+    "sobranch.branching", "sobranch.periods", "sobranch.cohomology", "sobranch.oracle",
+]
+
+
+def loaded_after(code, names):
+    """Which of ``names`` a fresh interpreter has loaded after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint(' '.join(n for n in {names!r} if n in sys.modules))"],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.split()
+
+
+class TestImportFootprint:
+    """A CLI call loads only what its subcommand uses."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_after("import sobranch", ["sobranch.weights", "sobranch.reps"]) == []
+
+    def test_classify_call_loads_only_weights_and_reps(self):
+        code = (
+            "import contextlib, io, sobranch.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    sobranch.cli.main(['classify', '--group', 'SO(5,1)', '--weight', '1,1,0'])"
         )
-        assert proc.stdout.strip() == "False"
+        assert loaded_after(code, HEAVY_STDLIB + UNUSED_BY_CLASSIFY) == []
+
+    def test_public_names_resolve_lazily(self):
+        import sobranch
+
+        assert sorted(sobranch.__all__) == sorted(sobranch._MODULE_OF)
+        for name in sobranch.__all__:
+            value = getattr(sobranch, name)
+            assert value is getattr(sys.modules[f"sobranch.{sobranch._MODULE_OF[name]}"], name)
+        with pytest.raises(AttributeError):
+            sobranch.no_such_name
 
 
 class TestExitCodes:
@@ -330,6 +371,9 @@ MALFORMED_ARGV = [
     ["selftest", "--grids", "{tmp}/bad-bound.json", "--suite", "dim-conservation"],
     ["cohomology", "--gate", "0,0;h=1;sig=+"],
     ["cohomology", "--group", "SO(3,1)", "--gate", "0;h=1;sig=+"],
+    ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--coeff", "9,9", "--subcoeff", "x"],
+    ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--group", "SO(5,1)"],
+    ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--enhanced", "0,0,0;h=1;sig=+"],
 ]
 
 
@@ -363,15 +407,144 @@ class TestDeterminism:
         assert first == second
 
 
+GROUPS = ["SO(5,1)", "SO(4,1)", "SO(3,1)", "SO(6,1)", "SO(2,1)", "SO(1,1)", "SO(6)", "x"]
+WEIGHTS = ["0,0", "1,0", "1,1", "2,1", "1,1,0", "2,1,0", "0,0,0", "1,2,0", "", "x", "1.5,0"]
+SIGNS = ["+", "-", "pm", "+-", "minus", "x", ""]
+ENHANCED = [
+    "1,1,0;h=1;sig=-", "0,0;h=2;sig=pm", "0,0,0;h=1;sig=+", "0,0;h=1;sig=+", "1,0;h=1;sig=+",
+    "2,0,0;h=1;sig=+", "1,1,0;h=0;sig=+", "1,1,0;h=x;sig=-", "0,0;h=2;sig=+", "0,0,0;h=3;sig=+",
+    "h=1;sig=+", ";;", "x",
+]
+LANGLANDS = [
+    "sigma=2,0;delta=+;lambda=0", "sigma=1,0;delta=+;lambda=0", "sigma=2;delta=+",
+    "sigma=;lambda=2", "sigma=1;lambda=2", "sigma=2,0;lambda=x", "weight=1,1,0;sig=-",
+    "weight=1,1", "delta=+", "x",
+]
+INTS = ["0", "1", "2", "3", "4", "-1", "x", "1.5"]
+FLAG_VALUES = {
+    "--group": GROUPS, "--target": GROUPS,
+    "--weight": WEIGHTS, "--subweight": WEIGHTS, "--coeff": WEIGHTS, "--subcoeff": WEIGHTS,
+    "--enhanced": ENHANCED, "--to": ENHANCED, "--gate": ENHANCED,
+    "--langlands": LANGLANDS, "--big": LANGLANDS, "--small": LANGLANDS,
+    "--sig0": SIGNS, "--delta": SIGNS, "--sig": SIGNS, "--psi": SIGNS,
+    "--n": INTS, "--i": INTS, "--j": INTS,
+}
+# The README's example calls: each subcommand with flags that work together.
+EXAMPLES = [
+    ["classify", "--group", "SO(4,1)", "--weight", "0,0"],
+    ["classify", "--group", "SO(5,1)", "--weight", "2,1,0"],
+    ["convert", "--group", "SO(5,1)", "--langlands", "sigma=2,0;delta=+;lambda=0"],
+    ["convert", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;sig=-"],
+    ["height", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;sig=-"],
+    ["signature", "--group", "SO(5,1)", "--langlands", "sigma=2,0;delta=+;lambda=0"],
+    ["hasse", "--group", "SO(5,1)", "--weight", "1,1,0", "--sig0", "+", "--standard"],
+    ["branch", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;sig=-", "--list"],
+    ["branch", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;sig=-", "--to", "1,1;h=1;sig=-"],
+    ["branch-fd", "--group", "SO(4,1)", "--weight", "1,1", "--delta", "+"],
+    ["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0", "--sig", "+"],
+    ["gp-check", "--group", "SO(3,1)", "--big", "sigma=2;delta=+", "--small", "sigma=;lambda=2"],
+    ["period", "--n", "3", "--i", "3"],
+    ["period", "--n", "4", "--i", "1", "--ktype"],
+    ["distinguished", "--group", "SO(5,1)", "--enhanced", "2,0,0;h=1;sig=+"],
+    ["chain", "--group", "SO(4,1)", "--enhanced", "0,0;h=2;sig=pm", "--target", "SO(2,1)",
+     "--psi", "+"],
+    ["cohomology", "--n", "6", "--i", "2", "--delta", "+", "--j", "2"],
+    ["cohomology", "--group", "SO(5,1)", "--enhanced", "0,0,0;h=1;sig=+",
+     "--gate", "0,0;h=1;sig=+"],
+    ["selftest"],
+]
+# Each subcommand's flags.  Left out: --jobs (it starts processes), --grids
+# (it reads files), --suite (fixed below), --help and --version (usage text).
+COMMAND_FLAGS = {
+    "classify": ["--group", "--weight"],
+    "convert": ["--group", "--langlands", "--enhanced"],
+    "height": ["--group", "--langlands", "--enhanced"],
+    "signature": ["--group", "--langlands", "--enhanced"],
+    "hasse": ["--group", "--weight", "--sig0", "--standard"],
+    "branch": ["--group", "--enhanced", "--list", "--to"],
+    "branch-fd": ["--group", "--weight", "--delta"],
+    "diagram": ["--group", "--weight", "--subweight", "--sig"],
+    "gp-check": ["--group", "--big", "--small"],
+    "period": ["--n", "--i", "--ktype"],
+    "distinguished": ["--group", "--enhanced"],
+    "chain": ["--group", "--enhanced", "--target", "--psi"],
+    "cohomology": ["--n", "--i", "--delta", "--j", "--intro-rendering", "--group", "--enhanced",
+                   "--gate", "--coeff", "--subcoeff"],
+    "selftest": [],
+}
+STRAY = sorted(FLAG_VALUES) + ["--list", "--ktype", "--standard"] + ENHANCED + INTS
+
+
+def units(flags):
+    """Split an example's flags into [switch] and [flag, value] units."""
+    out = []
+    for token in flags:
+        if token.startswith("--"):
+            out.append([token])
+        else:
+            out[-1].append(token)
+    return out
+
+
+@st.composite
+def argvs(draw):
+    """An example call, mutated: each flag kept, dropped, or given another
+    value (well formed or not); flags of the same subcommand added; the
+    order shuffled; sometimes an output mode or a stray token added."""
+    command, *flags = draw(st.sampled_from(EXAMPLES))
+    parts = []
+    for unit in units(flags):
+        action = draw(st.sampled_from(["keep", "keep", "keep", "swap", "drop"]))
+        if action == "swap" and unit[0] in FLAG_VALUES:
+            unit = [unit[0], draw(st.sampled_from(FLAG_VALUES[unit[0]]))]
+        if action != "drop":
+            parts.append(unit)
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command] or ["--json"]), max_size=2)):
+        parts.append([flag, draw(st.sampled_from(FLAG_VALUES[flag]))] if flag in FLAG_VALUES
+                     else [flag])
+    parts.append(draw(st.sampled_from([[], ["--table"], ["--json"]])))
+    if draw(st.integers(0, 4)) == 0:
+        parts.append([draw(st.sampled_from(STRAY))])
+    argv = [command] + [x for part in draw(st.permutations(parts)) for x in part]
+    if command == "selftest":  # the one quick suite
+        argv[1:1] = ["--suite", "trivial-rho-diagrams"]
+    return argv
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; only SystemExit is caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    @given(argv=argvs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_contract(self, argv):
+        first = run_in_process(argv)
+        code, out, err = first
+        assert code in (0, 2, 3, 4), (argv, first)
+        assert "Traceback" not in err
+        if code == 0 and "--table" not in argv:
+            json.loads(out)
+        assert run_in_process(argv) == first
+
+
 class TestSuiteFailureExitCode:
     def test_exit_4_on_failing_suite(self, capsys, monkeypatch):
-        import sobranch.cli as cli_mod
+        # The selftest handler reads run_suite off sobranch.oracle when it runs.
+        import sobranch.oracle as oracle_mod
         from sobranch.oracle import SuiteReport
 
         def fake_run_suite(name, bounds=None):
             return SuiteReport(name, 1, [{"boom": True}], 0.0)
 
-        monkeypatch.setattr(cli_mod, "run_suite", fake_run_suite)
+        monkeypatch.setattr(oracle_mod, "run_suite", fake_run_suite)
         code, out, _ = run_cli(capsys, "selftest", "--suite", "roundtrip")
         assert code == 4
         assert json.loads(out)["passed"] is False

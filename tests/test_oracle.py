@@ -64,6 +64,12 @@ class TestCompactBranch:
         with pytest.raises(NotMonotoneError):
             compact_branch_so(5, (0, 1))
 
+    @pytest.mark.parametrize("lam", [(1.9, 0.2), (2.0, 1), (True, False), (1, False)])
+    def test_rejects_non_integer_entries(self, lam):
+        # int() used to truncate: (1.9, 0.2) branched as (1, 0).
+        with pytest.raises(NotMonotoneError, match="must be integers"):
+            compact_branch_so(5, lam)
+
 
 class TestGrids:
     def test_grid_weights_respects_assumption(self):

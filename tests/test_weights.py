@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,14 @@ from sobranch.errors import (
 )
 from sobranch.weights import count_interlacing
 
-from conftest import brute_interlacing, recursive_so_dim, so3_dim, so4_dim, so5_dim
+from conftest import (
+    brute_interlacing,
+    recursive_so_dim,
+    reference_weyl_dim,
+    so3_dim,
+    so4_dim,
+    so5_dim,
+)
 
 
 def W(*entries):
@@ -212,6 +220,28 @@ class TestWeylDim:
             weyl_dim(5, (1, 0, 0))
         with pytest.raises(NotMonotoneError):
             weyl_dim(5, (0, 1))
+
+    @pytest.mark.parametrize("lam", [(1.9, 0), (2.0, 1), (True, False), (1, False), ("1", 0)])
+    def test_rejects_non_integer_entries(self, lam):
+        # int() used to truncate: weyl_dim(5, (1.9, 0)) returned 5, the dimension of (1, 0).
+        with pytest.raises(NotMonotoneError, match="must be integers"):
+            weyl_dim(5, lam)
+
+    def test_matches_fraction_reference(self):
+        # Every SO(N) highest weight with N <= 12 and entries bounded by 4,
+        # both signs of the last entry when N is even.
+        checked = 0
+        for N in range(1, 13):
+            rank = N // 2
+            for lam in product(range(-4, 5), repeat=rank):
+                body = lam[:-1] + (abs(lam[-1]),) if lam else ()
+                if any(x < 0 for x in lam[:-1]) or (N % 2 and lam and lam[-1] < 0):
+                    continue
+                if any(body[k] < body[k + 1] for k in range(rank - 1)):
+                    continue
+                assert weyl_dim(N, lam) == reference_weyl_dim(N, lam), (N, lam)
+                checked += 1
+        assert checked == 922
 
     @given(
         n_half=st.integers(1, 4),
