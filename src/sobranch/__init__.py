@@ -43,6 +43,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
+__all__ = sorted(_MODULE_OF)
+
 
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
@@ -57,58 +59,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
-
-
-__all__ = [
-    "Arrow",
-    "AqDescriptor",
-    "DiscreteSeries",
-    "EnhancedParam",
-    "FiniteDim",
-    "FiniteDimComponent",
-    "GroupTag",
-    "InfChar",
-    "KTypeLabel",
-    "Nontempered",
-    "PairingDescriptor",
-    "PeriodValue",
-    "RepDescriptor",
-    "Signature",
-    "SobranchError",
-    "SuiteReport",
-    "TemperedPS",
-    "Weight",
-    "bilinear_gate",
-    "bilinear_nonzero_trivial_rho",
-    "branch_enumerate",
-    "classify",
-    "compact_branch_so",
-    "distinguished_subgroup",
-    "distinguishing_chain",
-    "enhanced_from_langlands",
-    "enumerate_interlacing",
-    "finite_dim_branch",
-    "gp_tempered_check",
-    "hasse_sequence",
-    "height",
-    "infchar_finite_dim",
-    "infchar_principal_series",
-    "infinitesimal_character",
-    "interlaces",
-    "is_aq_lambda",
-    "langlands_from_enhanced",
-    "minimal_k_type_trivial_rho",
-    "multiplicity",
-    "pairing_trivial_rho",
-    "period_value",
-    "render_diagram",
-    "run_all",
-    "run_suite",
-    "sb_diagram",
-    "signature",
-    "standard_sequence",
-    "twist_chi_minus",
-    "validate_weight",
-    "weyl_dim",
-    "zero_weight",
-]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -64,12 +63,14 @@ def _parse_kv(text: str, positional_key: str | None = None) -> dict[str, str]:
         if not part:
             continue
         if "=" in part:
-            key, value = part.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (x.strip() for x in part.split("=", 1))
         elif idx == 0 and positional_key is not None:
-            out[positional_key] = part
+            key, value = positional_key, part
         else:
             raise OutOfRangeError(f"cannot parse parameter fragment {part!r}")
+        if key in out:
+            raise OutOfRangeError(f"parameter {key!r} given twice in {text!r}")
+        out[key] = value
     return out
 
 
@@ -116,9 +117,9 @@ def parse_langlands(group: GroupTag, text: str) -> RepDescriptor:
 
 
 def _descriptor_input(args: argparse.Namespace, group: GroupTag) -> RepDescriptor:
-    if getattr(args, "langlands", None):
+    if args.langlands:
         return parse_langlands(group, args.langlands)
-    if getattr(args, "enhanced", None):
+    if args.enhanced:
         return langlands_from_enhanced(parse_enhanced(group, args.enhanced))
     raise OutOfRangeError("provide --langlands or --enhanced")
 
@@ -139,7 +140,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, table_text: str | None = None) -> None:
-    if getattr(args, "table", False) and table_text is not None:
+    if args.table and table_text is not None:
         print(table_text)
     else:
         print(json.dumps(payload, ensure_ascii=False, indent=2))
@@ -407,7 +408,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_grids(path: str) -> dict[str, dict[str, int]]:
+def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
     """Read a grid-bounds override file: {suite: {bound: integer}}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -425,6 +426,11 @@ def _load_grids(path: str) -> dict[str, dict[str, int]]:
         if not isinstance(bounds, dict):
             raise OutOfRangeError(f"grid file {path!r}: bounds of {suite!r} must be an object")
         for key, value in bounds.items():
+            if key not in defaults[suite]:
+                raise OutOfRangeError(
+                    f"grid file {path!r}: unknown bound {suite}.{key}; "
+                    f"choose from {', '.join(defaults[suite])}"
+                )
             if type(value) is not int:
                 raise OutOfRangeError(
                     f"grid file {path!r}: bound {suite}.{key} must be an integer, got {value!r}"
@@ -435,21 +441,9 @@ def _load_grids(path: str) -> dict[str, dict[str, int]]:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .oracle import default_bounds, run_suite
 
-    if args.jobs < 1:
-        raise OutOfRangeError(f"--jobs must be at least 1, got {args.jobs}")
-    bounds_map = default_bounds()
-    if args.grids:
-        bounds_map.update(_load_grids(args.grids))
-    names = list(dict.fromkeys(args.suite or SUITE_NAMES))  # a repeated --suite runs once
-    jobs = min(args.jobs, len(names), os.cpu_count() or 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms; not on every start-up
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(run_suite, name, bounds_map.get(name)) for name in names}
-            reports = [futures[name].result() for name in names]
-    else:
-        reports = [run_suite(name, bounds_map.get(name)) for name in names]
+    overrides = _load_grids(args.grids, default_bounds()) if args.grids else {}
+    names = dict.fromkeys(args.suite or SUITE_NAMES)  # a repeated --suite runs once
+    reports = [run_suite(name, overrides.get(name)) for name in names]
     payload = {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
@@ -462,110 +456,101 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# A flag is (name, add_argument keywords); the shared ones are spelled once here.
+def _flag(name: str, **kw) -> tuple[str, dict]:
+    return name, kw
+
+
+def _like(flag: tuple[str, dict], **kw) -> tuple[str, dict]:
+    return flag[0], {**flag[1], **kw}
+
+
+SIGN = {"default": "+", "metavar": "SIGN"}
+ENHANCED_SYNTAX = "w1,..;h=..;sig=.."
+GROUP = _flag("--group", required=True, metavar="SO(N,1)")
+WEIGHT = _flag("--weight", required=True, metavar="CSV")
+ENHANCED = _flag("--enhanced", required=True, metavar=ENHANCED_SYNTAX)
+DESCRIPTOR = [GROUP, _flag("--langlands", metavar="sigma=..;delta=..;lambda=.."),
+              _like(ENHANCED, required=False)]
+
+# name -> (help, handler, flags in usage order); every subcommand also takes --json/--table.
+COMMANDS = {
+    "classify": ("all irreducibles with the infinitesimal character of a weight", _cmd_classify,
+                 [GROUP, WEIGHT]),
+    "convert": ("convert between Langlands and enhanced parameters", _cmd_convert, DESCRIPTOR),
+    "height": ("height of a representation", _cmd_height, DESCRIPTOR),
+    "signature": ("signature of a representation", _cmd_signature, DESCRIPTOR),
+    "hasse": ("Hasse or standard sequence starting at a finite-dimensional member", _cmd_hasse,
+              [GROUP, WEIGHT, _flag("--sig0", **SIGN),
+               _flag("--standard", action="store_true", help="twist into the standard sequence")]),
+    "branch": ("branching targets or a single multiplicity", _cmd_branch,
+               [GROUP, ENHANCED, _flag("--list", action="store_true", help="list all targets (default)"),
+                _flag("--to", metavar=ENHANCED_SYNTAX,
+                      help="target parameter over the subgroup; print the multiplicity")]),
+    "branch-fd": ("restriction of a finite-dimensional module", _cmd_branch_fd,
+                  [GROUP, WEIGHT, _flag("--delta", **SIGN)]),
+    "diagram": ("symmetry-breaking arrows between two standard sequences", _cmd_diagram,
+                [GROUP, WEIGHT, _flag("--subweight", **WEIGHT[1]), _flag("--sig", **SIGN)]),
+    "gp-check": ("tempered pairing test at top height", _cmd_gp_check,
+                 [_like(GROUP, metavar="SO(2m+1,1)"),
+                  _flag("--big", required=True, metavar="sigma=..;delta=.."),
+                  _flag("--small", required=True, metavar="sigma=..;lambda=..")]),
+    "period": ("exact period value (or minimal K-type) for the regular family", _cmd_period,
+               [_flag("--n", type=int, required=True), _flag("--i", type=int, required=True),
+                _flag("--ktype", action="store_true", help="print the minimal K-type instead")]),
+    "distinguished": ("distinguished subgroup of a cohomologically induced parameter",
+                      _cmd_distinguished, [GROUP, ENHANCED]),
+    "chain": ("stepwise distinguishing chain down to a character", _cmd_chain,
+              [GROUP, ENHANCED, _flag("--target", required=True, metavar="SO(M,1)"),
+               _flag("--psi", **SIGN)]),
+    "cohomology": (
+        "nonvanishing of induced bilinear forms on cohomology", _cmd_cohomology,
+        [_flag("--n", type=int), _flag("--i", type=int), _flag("--delta", **SIGN),
+         _flag("--j", type=int),
+         _flag("--intro-rendering", action="store_true",
+               help="label the pairing partner by the alternate published convention"),
+         _like(GROUP, required=False, help="gate mode: the big group"),
+         _like(ENHANCED, required=False, help="gate mode: big parameter"),
+         _flag("--gate", metavar=ENHANCED_SYNTAX,
+               help="gate mode: subgroup parameter; prints the pairing degree"),
+         _flag("--coeff", metavar="CSV", help="gate mode: coefficient weight for the big side"),
+         _flag("--subcoeff", metavar="CSV", help="gate mode: coefficient weight for the small side")],
+    ),
+    "selftest": ("run the brute-force verification suites", _cmd_selftest,
+                 [_flag("--suite", action="append", choices=SUITE_NAMES,
+                        help="run only this suite (repeatable)"),
+                  _flag("--grids", metavar="PATH", help="JSON file overriding the default grid bounds")]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Register every subcommand, so usage text lists them all; only ``command`` gets its flags."""
     parser = argparse.ArgumentParser(
         prog="sobranch",
         description="Exact branching calculus for representations of SO(N,1)",
     )
     parser.add_argument("--version", action="version", version=f"sobranch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, func) -> argparse.ArgumentParser:
+    for name, (help_text, _, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        if name != command:
+            continue
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false", default=False,
                          help="machine-readable output (default)")
         fmt.add_argument("--table", dest="table", action="store_true",
                          help="aligned human-readable output")
-        return p
-
-    p = add("classify", "all irreducibles with the infinitesimal character of a weight", _cmd_classify)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--weight", required=True, metavar="CSV")
-
-    for name, func, help_text in (
-        ("convert", _cmd_convert, "convert between Langlands and enhanced parameters"),
-        ("height", _cmd_height, "height of a representation"),
-        ("signature", _cmd_signature, "signature of a representation"),
-    ):
-        p = add(name, help_text, func)
-        p.add_argument("--group", required=True, metavar="SO(N,1)")
-        p.add_argument("--langlands", metavar="sigma=..;delta=..;lambda=..")
-        p.add_argument("--enhanced", metavar="w1,..;h=..;sig=..")
-
-    p = add("hasse", "Hasse or standard sequence starting at a finite-dimensional member", _cmd_hasse)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--weight", required=True, metavar="CSV")
-    p.add_argument("--sig0", default="+", metavar="SIGN")
-    p.add_argument("--standard", action="store_true", help="twist into the standard sequence")
-
-    p = add("branch", "branching targets or a single multiplicity", _cmd_branch)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--enhanced", required=True, metavar="w1,..;h=..;sig=..")
-    p.add_argument("--list", action="store_true", help="list all targets (default)")
-    p.add_argument("--to", metavar="w1,..;h=..;sig=..",
-                   help="target parameter over the subgroup; print the multiplicity")
-
-    p = add("branch-fd", "restriction of a finite-dimensional module", _cmd_branch_fd)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--weight", required=True, metavar="CSV")
-    p.add_argument("--delta", default="+", metavar="SIGN")
-
-    p = add("diagram", "symmetry-breaking arrows between two standard sequences", _cmd_diagram)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--weight", required=True, metavar="CSV")
-    p.add_argument("--subweight", required=True, metavar="CSV")
-    p.add_argument("--sig", default="+", metavar="SIGN")
-
-    p = add("gp-check", "tempered pairing test at top height", _cmd_gp_check)
-    p.add_argument("--group", required=True, metavar="SO(2m+1,1)")
-    p.add_argument("--big", required=True, metavar="sigma=..;delta=..")
-    p.add_argument("--small", required=True, metavar="sigma=..;lambda=..")
-
-    p = add("period", "exact period value (or minimal K-type) for the regular family", _cmd_period)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--ktype", action="store_true", help="print the minimal K-type instead")
-
-    p = add("distinguished", "distinguished subgroup of a cohomologically induced parameter", _cmd_distinguished)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--enhanced", required=True, metavar="w1,..;h=..;sig=..")
-
-    p = add("chain", "stepwise distinguishing chain down to a character", _cmd_chain)
-    p.add_argument("--group", required=True, metavar="SO(N,1)")
-    p.add_argument("--enhanced", required=True, metavar="w1,..;h=..;sig=..")
-    p.add_argument("--target", required=True, metavar="SO(M,1)")
-    p.add_argument("--psi", default="+", metavar="SIGN")
-
-    p = add("cohomology", "nonvanishing of induced bilinear forms on cohomology", _cmd_cohomology)
-    p.add_argument("--n", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--delta", default="+", metavar="SIGN")
-    p.add_argument("--j", type=int)
-    p.add_argument("--intro-rendering", action="store_true",
-                   help="label the pairing partner by the alternate published convention")
-    p.add_argument("--group", metavar="SO(N,1)", help="gate mode: the big group")
-    p.add_argument("--enhanced", metavar="w1,..;h=..;sig=..", help="gate mode: big parameter")
-    p.add_argument("--gate", metavar="w1,..;h=..;sig=..",
-                   help="gate mode: subgroup parameter; prints the pairing degree")
-    p.add_argument("--coeff", metavar="CSV", help="gate mode: coefficient weight for the big side")
-    p.add_argument("--subcoeff", metavar="CSV", help="gate mode: coefficient weight for the small side")
-
-    p = add("selftest", "run the brute-force verification suites", _cmd_selftest)
-    p.add_argument("--suite", action="append", choices=SUITE_NAMES,
-                   help="run only this suite (repeatable)")
-    p.add_argument("--grids", metavar="PATH", help="JSON file overriding the default grid bounds")
-    p.add_argument("--jobs", type=int, default=1, help="run suites in parallel processes")
-
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand is the first argument that names one (the top level takes no values).
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except SobranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -158,8 +158,8 @@ def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
 
 
 def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
-    max_so = int(bounds.get("max_so", 8))
-    max_entry = int(bounds.get("max_entry", 3))
+    max_so = int(bounds["max_so"])
+    max_entry = int(bounds["max_entry"])
     cases, failures = 0, []
     for N in range(2, max_so + 1):
         for mu in so_weights(N, max_entry):
@@ -172,8 +172,8 @@ def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds.get("max_group", 11))
-    max_entry = int(bounds.get("max_entry", 4))
+    max_group = int(bounds["max_group"])
+    max_entry = int(bounds["max_entry"])
     cases, failures = 0, []
     for N in range(2, max_group + 1):
         group = GroupTag(N)
@@ -189,8 +189,8 @@ def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds.get("max_group", 11))
-    max_entry = int(bounds.get("max_entry", 4))
+    max_group = int(bounds["max_group"])
+    max_entry = int(bounds["max_entry"])
     cases, failures = 0, []
     for N in range(2, max_group + 1):
         group = GroupTag(N)
@@ -209,7 +209,7 @@ def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, list]:
-    max_n = int(bounds.get("max_n", 10))
+    max_n = int(bounds["max_n"])
     cases, failures = 0, []
     for n in range(2, max_n + 1):
         group = GroupTag(n + 1)
@@ -241,8 +241,8 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
     twisted parameter outside the grid (an engine bug) is evaluated
     directly.
     """
-    max_group = int(bounds.get("max_group", 11))
-    max_entry = int(bounds.get("max_entry", 4))
+    max_group = int(bounds["max_group"])
+    max_entry = int(bounds["max_entry"])
     cases, failures = 0, []
     for N in range(3, max_group + 1):
         big_params = grid_enhanced(GroupTag(N), max_entry)
@@ -287,8 +287,8 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds.get("max_group", 9))
-    max_entry = int(bounds.get("max_entry", 3))
+    max_group = int(bounds["max_group"])
+    max_entry = int(bounds["max_entry"])
     signs = (Signature.PLUS, Signature.MINUS)
     cases, failures = 0, []
     for N in range(3, max_group + 1):
@@ -334,13 +334,15 @@ def default_bounds() -> dict:
 
 
 def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
-    """Run one named suite over its grid and report the counterexamples."""
+    """Run one named suite over its grid and report the counterexamples.
+
+    A bound that ``bounds`` leaves out keeps its value from suite_grids.json.
+    """
     if suite not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    if bounds is None:
-        bounds = default_bounds().get(suite, {})
+    bounds = {**default_bounds()[suite], **(bounds or {})}
     start = time.perf_counter()
     cases, failures = _SUITES[suite](bounds)
     return SuiteReport(suite, cases, failures, time.perf_counter() - start)
@@ -348,6 +350,4 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
 
 def run_all(bounds_map: dict | None = None) -> list[SuiteReport]:
     """Run every suite with the given (or default) bounds, in registry order."""
-    if bounds_map is None:
-        bounds_map = default_bounds()
-    return [run_suite(name, bounds_map.get(name)) for name in SUITE_NAMES]
+    return [run_suite(name, (bounds_map or {}).get(name)) for name in SUITE_NAMES]

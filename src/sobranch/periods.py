@@ -216,6 +216,8 @@ def period_value(n: int, i: int) -> PeriodValue:
     """
     if not 0 <= i <= n:
         raise OutOfRangeError(f"period_value needs 0 <= i <= n, got i={i}, n={n}")
+    if n < 1:
+        raise OutOfRangeError(f"period_value needs n >= 1 (SO(n+1,1)), got n={n}")
     from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
 
     quarters = i * (2 * n - i - 1)
@@ -232,4 +234,6 @@ def minimal_k_type_trivial_rho(n: int, i: int) -> KTypeLabel:
         raise OutOfRangeError(
             f"minimal_k_type_trivial_rho needs 0 <= i <= n+1, got i={i}, n={n}"
         )
+    if n < 1:
+        raise OutOfRangeError(f"minimal_k_type_trivial_rho needs n >= 1 (SO(n+1,1)), got n={n}")
     return KTypeLabel(i, n + 1)

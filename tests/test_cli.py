@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,54 +238,22 @@ class TestSelftest:
         assert code == 2 and out == ""
         assert "unknown suite 'trivial-rho-diagram'" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_2(self, capsys, jobs):
-        code, out, err = run_cli(capsys, "selftest", "--suite", "trivial-rho-diagrams", "--jobs", jobs)
-        assert code == 2 and out == ""
-        assert err.startswith("error: --jobs")
-
-    def test_jobs_output_matches_serial(self, capsys, tmp_path):
+    def test_unknown_bound_key_in_grids_is_2(self, capsys, tmp_path):
+        # A misspelled bound must not fall back to its default.
         grids = tmp_path / "grids.json"
-        grids.write_text(json.dumps({"chi-twist": {"max_group": 5, "max_entry": 1}}))
-        argv = ("selftest", "--grids", str(grids), "--suite", "chi-twist", "--suite", "roundtrip")
-        serial = run_cli(capsys, *argv)
-        parallel = run_cli(capsys, *argv, "--jobs", "2")
-        assert parallel == serial
-        assert serial[0] == 0
+        grids.write_text(json.dumps({"trivial-rho-diagrams": {"max_m": 3}}))
+        code, out, err = run_cli(capsys, "selftest", "--grids", str(grids))
+        assert code == 2 and out == ""
+        assert "unknown bound trivial-rho-diagrams.max_m" in err
 
-    @pytest.mark.parametrize(
-        "jobs, cpus, workers",
-        [("3", 8, [2]), ("2", 1, []), ("2", None, []), ("1", 8, [])],
-    )
-    def test_jobs_clamped(self, capsys, monkeypatch, jobs, cpus, workers):
-        # K is clamped to min(K, suites, cpus); a pool of one is no pool.
-        # The pool is a stand-in, so no process is started.
-        import concurrent.futures
-        import os
+    def test_partial_grid_override_keeps_other_defaults(self, capsys, tmp_path):
+        def cases(bounds):
+            grids = tmp_path / "grids.json"
+            grids.write_text(json.dumps({"chi-twist": bounds}))
+            data = run_json(capsys, "selftest", "--grids", str(grids), "--suite", "chi-twist")
+            return data["suites"][0]["cases_run"]
 
-        seen = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        argv = ("selftest", "--suite", "trivial-rho-diagrams", "--suite", "dim-conservation")
-        serial = run_cli(capsys, *argv)
-        assert run_cli(capsys, *argv, "--jobs", jobs) == serial
-        assert seen == workers
+        assert cases({"max_group": 5}) == cases({"max_group": 5, "max_entry": 4})
 
     def test_cli_import_leaves_process_pool_unloaded(self):
         # The rest of the import footprint too: no dataclasses (with inspect),
@@ -325,7 +294,6 @@ class TestImportFootprint:
     def test_public_names_resolve_lazily(self):
         import sobranch
 
-        assert sorted(sobranch.__all__) == sorted(sobranch._MODULE_OF)
         for name in sobranch.__all__:
             value = getattr(sobranch, name)
             assert value is getattr(sys.modules[f"sobranch.{sobranch._MODULE_OF[name]}"], name)
@@ -374,6 +342,11 @@ MALFORMED_ARGV = [
     ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--coeff", "9,9", "--subcoeff", "x"],
     ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--group", "SO(5,1)"],
     ["cohomology", "--n", "4", "--i", "1", "--j", "1", "--enhanced", "0,0,0;h=1;sig=+"],
+    ["height", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;h=2;sig=+"],
+    ["height", "--group", "SO(5,1)", "--enhanced", "1,1,0;weight=1,1,0;h=1;sig=+"],
+    ["convert", "--group", "SO(5,1)", "--langlands", "sigma=2,0;delta=+;delta=-"],
+    ["period", "--n", "0", "--i", "0"],
+    ["period", "--n", "-1", "--i", "0", "--ktype"],
 ]
 
 
@@ -453,8 +426,8 @@ EXAMPLES = [
      "--gate", "0,0;h=1;sig=+"],
     ["selftest"],
 ]
-# Each subcommand's flags.  Left out: --jobs (it starts processes), --grids
-# (it reads files), --suite (fixed below), --help and --version (usage text).
+# Each subcommand's flags.  Left out: --grids (it reads files), --suite
+# (fixed below), --help and --version (usage text, see the golden test).
 COMMAND_FLAGS = {
     "classify": ["--group", "--weight"],
     "convert": ["--group", "--langlands", "--enhanced"],
@@ -533,6 +506,21 @@ class TestArgvFuzz:
         if code == 0 and "--table" not in argv:
             json.loads(out)
         assert run_in_process(argv) == first
+
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_usage_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(GOLDEN["python"]),
+                    reason="argparse wording and line wrapping differ between Python versions")
+class TestUsageText:
+    """Help, usage and argparse error text: the command table's flag order,
+    metavars and help strings, recorded at 80 columns."""
+
+    @pytest.mark.parametrize("call", GOLDEN["calls"], ids=lambda c: " ".join(c["argv"]) or "-")
+    def test_matches_golden(self, call, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_in_process(call["argv"]) == (call["exit"], call["stdout"], call["stderr"])
 
 
 class TestSuiteFailureExitCode:

@@ -233,6 +233,9 @@ class TestPeriodValue:
             period_value(4, 5)
         with pytest.raises(OutOfRangeError):
             period_value(4, -1)
+        for n in (0, -1):  # SO(n+1,1) needs n >= 1
+            with pytest.raises(OutOfRangeError):
+                period_value(n, 0)
 
     def test_invalid_value_raises_under_optimize(self):
         # The invariant is a package error, not an assert, so it survives -O.
@@ -275,3 +278,6 @@ class TestMinimalKType:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             minimal_k_type_trivial_rho(3, 5)
+        for n, i in ((0, 0), (0, 1), (-1, 0)):  # SO(n+1,1) needs n >= 1
+            with pytest.raises(OutOfRangeError, match="n >= 1"):
+                minimal_k_type_trivial_rho(n, i)
