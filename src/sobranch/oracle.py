@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import SUITE_NAMES
 from .branching import multiplicity, sb_diagram
-from .errors import NotMonotoneError, UnknownSuiteError, WrongRankError
+from .errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from .reps import (
     EnhancedParam,
     FiniteDim,
@@ -336,13 +336,21 @@ def default_bounds() -> dict:
 def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     """Run one named suite over its grid and report the counterexamples.
 
-    A bound that ``bounds`` leaves out keeps its value from suite_grids.json.
+    A bound that ``bounds`` leaves out keeps its value from suite_grids.json;
+    a key that suite_grids.json does not list raises ``OutOfRangeError``.
     """
     if suite not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    bounds = {**default_bounds()[suite], **(bounds or {})}
+    bounds = bounds or {}
+    defaults = default_bounds()[suite]
+    for key in bounds:
+        if key not in defaults:
+            raise OutOfRangeError(
+                f"unknown bound {suite}.{key}; choose from {', '.join(defaults)}"
+            )
+    bounds = {**defaults, **bounds}
     start = time.perf_counter()
     cases, failures = _SUITES[suite](bounds)
     return SuiteReport(suite, cases, failures, time.perf_counter() - start)

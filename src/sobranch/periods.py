@@ -221,11 +221,12 @@ def period_value(n: int, i: int) -> PeriodValue:
     from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
 
     quarters = i * (2 * n - i - 1)
-    base = Fraction(math.factorial(n - i)) ** (1 - i)
+    # integer numerator and denominator, reduced once by Fraction
+    num, den = (math.factorial(n), 1) if i == 0 else (1, math.factorial(n - i) ** (i - 1))
     if 2 * i < n + 1:
-        return PeriodValue(1, base / math.factorial(n - 2 * i), quarters)
+        return PeriodValue(1, Fraction(num, den * math.factorial(n - 2 * i)), quarters)
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    return PeriodValue(sign, base * math.factorial(2 * i - n - 1), quarters)
+    return PeriodValue(sign, Fraction(num * math.factorial(2 * i - n - 1), den), quarters)
 
 
 def minimal_k_type_trivial_rho(n: int, i: int) -> KTypeLabel:

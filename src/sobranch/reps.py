@@ -34,6 +34,7 @@ from .weights import (
     InfChar,
     Weight,
     check_weight,
+    finite_dim_doubled,
     infchar_finite_dim,
     infchar_principal_series,
     validate_weight,
@@ -270,11 +271,6 @@ def theta_param_str(e: EnhancedParam) -> str:
     return f"({head}||{tail}){e.sig.value}"
 
 
-def _doubled_rho_shift(group: GroupTag, j: int) -> int:
-    # doubled value of n/2 + 1 - j at 1-based position j
-    return group.n + 2 - 2 * j
-
-
 def _char_slots(d: RepDescriptor) -> tuple[list[int], int]:
     """Doubled infinitesimal-character entries sorted decreasing, plus the
     0-based slot occupied by the continuous parameter."""
@@ -286,17 +282,16 @@ def _char_slots(d: RepDescriptor) -> tuple[list[int], int]:
             lam2 = n  # doubled lam = n means |2 lam - n| = 0
         else:
             lam2 = 2 * d.lam
-        sig_part = [2 * sigma.entries[k] + n - 2 * (k + 1) for k in range(sigma.rank)]
+        # strictly decreasing, since sigma is weakly decreasing
+        sig_part = [2 * x + n - 2 * k for k, x in enumerate(sigma.entries, 1)]
         lam_entry = abs(lam2 - n)
         if lam_entry in sig_part:
             raise SingularInfCharError(
                 f"parameter hits a reducibility wall: repeated entry {lam_entry}/2"
             )
-        tagged = sorted(
-            [(v, 0) for v in sig_part] + [(lam_entry, 1)], reverse=True
-        )
-        slot = next(i for i, (_, tag) in enumerate(tagged) if tag == 1)
-        return [v for v, _ in tagged], slot
+        slot = sum(map(lam_entry.__lt__, sig_part))  # entries sorting before it
+        sig_part.insert(slot, lam_entry)
+        return sig_part, slot
     raise TypeError(f"no character slots for {type(d).__name__}")
 
 
@@ -320,17 +315,12 @@ def _height_by_intervals(d: RepDescriptor) -> int:
         return 0
     if isinstance(d, (TemperedPS, DiscreteSeries)):
         return d.group.top_height
-    sig_e = d.sigma.entries
-
-    def sigma_at(k: int) -> int:
-        return sig_e[k - 1] if 1 <= k <= len(sig_e) else 0
-
-    hits = []
-    for i in range(d.group.top_height):
-        below = True if i == 0 else d.lam > i - sigma_at(i)
-        above = d.lam < i + 1 - sigma_at(i + 1)
-        if below and above:
-            hits.append(i)
+    pad = (*d.sigma.entries, 0)  # pad[k - 1] is sigma_k
+    lam = d.lam
+    hits = [
+        i for i in range(d.group.top_height)
+        if (i == 0 or lam > i - pad[i - 1]) and lam < i + 1 - pad[i]
+    ]
     if len(hits) != 1:
         raise InvalidDescriptorError(
             f"height intervals select {hits} for lam={d.lam}, sigma={d.sigma}"
@@ -373,16 +363,16 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
     if isinstance(d, FiniteDim):
         return EnhancedParam(group, d.s, 0, d.sig)
     doubled, slot = _char_slots(d)
-    ent = []
-    for j in range(group.rank):
-        v = doubled[j] - _doubled_rho_shift(group, j + 1)
+    n = group.n
+    # minus the doubled rho-shift, n - 2j at 0-based position j
+    ent = [v - n + 2 * j for j, v in enumerate(doubled)]
+    for v in ent:
         if v < 0 or v % 2:
             raise InvalidDescriptorError(
                 f"{d} does not match a self-dual finite-dimensional character"
             )
-        ent.append(v // 2)
     try:
-        weight = validate_weight(ent, group)
+        weight = validate_weight([v // 2 for v in ent], group)
     except NotMonotoneError as exc:  # pragma: no cover - blocked by construction
         raise InvalidDescriptorError(str(exc)) from exc
     if isinstance(d, DiscreteSeries):
@@ -401,41 +391,41 @@ def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
     for the discrete series, whose slot is the last), and the rest recover
     sigma.
     """
+    return _descriptor(e, finite_dim_doubled(e.group, e.s))
+
+
+def _descriptor(e: EnhancedParam, a_doubled: list[int]) -> RepDescriptor:
+    """``langlands_from_enhanced`` of e, given ``finite_dim_doubled`` of
+    its weight."""
     group = e.group
-    n = group.n
-    top = group.top_height
     if e.height == 0:
         return FiniteDim(group, e.s, e.sig)
-    a_doubled = [
-        2 * e.s.entries[j] + _doubled_rho_shift(group, j + 1) for j in range(group.rank)
-    ]
-
-    def sigma_from(skip: int) -> Weight:
-        vals = []
-        for k in range(group.rank):
-            if k == skip:
-                continue
-            pos = len(vals)  # 0-based sigma index
-            v = a_doubled[k] - n + 2 * (pos + 1)
-            if v < 0 or v % 2:
-                raise InvariantError(f"sigma entry {v}/2 of {e} is not a nonnegative integer")
-            vals.append(v // 2)
-        return Weight(tuple(vals))
-
+    n = group.n
     if e.sig is _BOTH:  # only the discrete-series slot carries the wildcard
         lam = (a_doubled[-1] + n) // 2
-        return DiscreteSeries(group, sigma_from(group.rank - 1), lam)
-    lam2 = n - a_doubled[e.height]
+        return DiscreteSeries(group, _sigma_without(e, a_doubled, group.rank - 1), lam)
+    h = e.height
+    lam2 = n - a_doubled[h]
     if lam2 % 2:  # pragma: no cover - parity is fixed by the group
         raise InvalidEnhancedError(f"non-integral lam for {e}")
     lam = lam2 // 2
-    sigma = sigma_from(e.height)
-    if e.height == top:
+    sigma = _sigma_without(e, a_doubled, h)
+    if h == group.top_height:
         # N odd tempered slot: the skipped entry is forced to 0, so lam = n/2.
-        if a_doubled[e.height] != 0:
-            raise InvariantError(f"tempered slot of {e} holds {a_doubled[e.height]}/2, not 0")
+        if a_doubled[h] != 0:
+            raise InvariantError(f"tempered slot of {e} holds {a_doubled[h]}/2, not 0")
         return TemperedPS(group, sigma, e.sig)
-    return Nontempered(group, sigma, e.sig.times_sign(e.height - lam), lam)
+    return Nontempered(group, sigma, e.sig.times_sign(h - lam), lam)
+
+
+def _sigma_without(e: EnhancedParam, a_doubled: list[int], skip: int) -> Weight:
+    """sigma from the entries of ``a_doubled`` other than the one at ``skip``."""
+    n = e.group.n
+    vals = [v - n + 2 * k for k, v in enumerate(a_doubled[:skip] + a_doubled[skip + 1 :], 1)]
+    for v in vals:
+        if v < 0 or v % 2:
+            raise InvariantError(f"sigma entry {v}/2 of {e} is not a nonnegative integer")
+    return Weight(tuple([v // 2 for v in vals]))
 
 
 def twist_chi_minus(e: EnhancedParam) -> EnhancedParam:
@@ -482,9 +472,11 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
     There are exactly n + 2 of them: every height below the top with both
     signatures, plus the tempered top (two principal series members for N
     odd, one discrete series for N even).  Parameters are recovered by
-    infinitesimal-character multiset matching via langlands_from_enhanced.
+    infinitesimal-character multiset matching, as langlands_from_enhanced
+    does, from one rho-shifted copy of the weight shared by every member.
     """
-    out = [langlands_from_enhanced(e) for e in enhanced_params(group, s)]
+    a_doubled = finite_dim_doubled(group, s)
+    out = [_descriptor(e, a_doubled) for e in enhanced_params(group, s)]
     if len(out) != group.n + 2:
         raise InvariantError(f"classify found {len(out)} parameters for {group}, not n + 2")
     return out

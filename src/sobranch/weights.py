@@ -23,6 +23,7 @@ from .errors import (
 from .values import Ordered, Value, store
 
 _GROUP_RE = re.compile(r"SO\(\s*(\d+)\s*,\s*1\s*\)")
+_INT_ONLY = frozenset((int,))
 
 
 class GroupTag(Ordered):
@@ -84,12 +85,20 @@ class Weight(Ordered):
 
     def __init__(self, entries: tuple[int, ...]) -> None:
         e = entries
-        if any(type(x) is not int for x in e):
-            raise NotMonotoneError(f"weight entries must be integers: {e}")
-        if any(x < 0 for x in e):
-            raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
-        if any(e[k] < e[k + 1] for k in range(len(e) - 1)):
-            raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
+        # A valid weight passes in C: plain ints (so ``sorted`` sees nothing
+        # else), last entry nonnegative, weakly decreasing.  A rejected one
+        # walks the loops, which pick the message: type, then sign, then order.
+        if not (
+            _INT_ONLY.issuperset(map(type, e))
+            and (not e or e[-1] >= 0)
+            and list(e) == sorted(e, reverse=True)
+        ):
+            if any(type(x) is not int for x in e):
+                raise NotMonotoneError(f"weight entries must be integers: {e}")
+            if any(x < 0 for x in e):
+                raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
+            if any(e[k] < e[k + 1] for k in range(len(e) - 1)):
+                raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
         store(self, "entries", e)
 
     def __eq__(self, other: object):
@@ -193,9 +202,14 @@ def infchar_finite_dim(group: GroupTag, s: Weight) -> InfChar:
     weakly decreasing weight, and asserted.
     """
     check_weight(s, group)
+    return InfChar.from_doubled(finite_dim_doubled(group, s))
+
+
+def finite_dim_doubled(group: GroupTag, s: Weight) -> list[int]:
+    """Twice the entries s_j + n/2 + 1 - j (1-based j) of the infinitesimal
+    character of the finite-dimensional module with weight s, in order."""
     n = group.n
-    doubled = [2 * s.entries[j] + n + 2 - 2 * (j + 1) for j in range(group.rank)]
-    return InfChar.from_doubled(doubled)
+    return [2 * x + n - 2 * j for j, x in enumerate(s.entries)]
 
 
 def infchar_principal_series(group: GroupTag, sigma: Weight, lam: int) -> InfChar:

@@ -14,7 +14,23 @@ from math import factorial
 from pathlib import Path
 
 from sobranch import GroupTag, Weight, branch_enumerate, interlaces, multiplicity
-from sobranch.errors import GroupMismatchError
+from sobranch.errors import (
+    GroupMismatchError,
+    InvalidDescriptorError,
+    InvalidEnhancedError,
+    InvariantError,
+    NotMonotoneError,
+    SingularInfCharError,
+)
+from sobranch.reps import (
+    DiscreteSeries,
+    EnhancedParam,
+    FiniteDim,
+    Nontempered,
+    Signature,
+    TemperedPS,
+)
+from sobranch.weights import validate_weight
 
 
 def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, ...]]:
@@ -190,3 +206,150 @@ def reference_bilinear_gate(big, small, coeff_big, coeff_small):
     if multiplicity(big, small) != 1:
         return None
     return big.height
+
+
+def reference_weight_error(e) -> str | None:
+    """The message ``Weight(e)`` raised before its one-pass check, kept as
+    its reference: three loops, type before sign before order."""
+    if any(type(x) is not int for x in e):
+        return f"weight entries must be integers: {e}"
+    if any(x < 0 for x in e):
+        return f"weight entries must be nonnegative: {e}"
+    if any(e[k] < e[k + 1] for k in range(len(e) - 1)):
+        return f"weight entries must be weakly decreasing: {e}"
+    return None
+
+
+# The per-member conversions that ``sobranch.reps`` replaced with sliced
+# and shared rho-shifted entries, kept as their reference: a tagged sort for
+# the slot, the rho-shift one position at a time, sigma rebuilt entry by
+# entry, and the interval test through a helper.
+
+
+def _reference_doubled_rho_shift(group, j):
+    # doubled value of n/2 + 1 - j at 1-based position j
+    return group.n + 2 - 2 * j
+
+
+def reference_char_slots(d):
+    group = d.group
+    n = group.n
+    if isinstance(d, (Nontempered, TemperedPS, DiscreteSeries)):
+        sigma = d.sigma
+        if isinstance(d, TemperedPS):
+            lam2 = n
+        else:
+            lam2 = 2 * d.lam
+        sig_part = [2 * sigma.entries[k] + n - 2 * (k + 1) for k in range(sigma.rank)]
+        lam_entry = abs(lam2 - n)
+        if lam_entry in sig_part:
+            raise SingularInfCharError(
+                f"parameter hits a reducibility wall: repeated entry {lam_entry}/2"
+            )
+        tagged = sorted([(v, 0) for v in sig_part] + [(lam_entry, 1)], reverse=True)
+        slot = next(i for i, (_, tag) in enumerate(tagged) if tag == 1)
+        return [v for v, _ in tagged], slot
+    raise TypeError(f"no character slots for {type(d).__name__}")
+
+
+def reference_height_by_insertion(d):
+    if isinstance(d, FiniteDim):
+        return 0
+    if isinstance(d, DiscreteSeries):
+        return d.group.top_height
+    return reference_char_slots(d)[1]
+
+
+def reference_height_by_intervals(d):
+    if isinstance(d, FiniteDim):
+        return 0
+    if isinstance(d, (TemperedPS, DiscreteSeries)):
+        return d.group.top_height
+    sig_e = d.sigma.entries
+
+    def sigma_at(k):
+        return sig_e[k - 1] if 1 <= k <= len(sig_e) else 0
+
+    hits = []
+    for i in range(d.group.top_height):
+        below = True if i == 0 else d.lam > i - sigma_at(i)
+        above = d.lam < i + 1 - sigma_at(i + 1)
+        if below and above:
+            hits.append(i)
+    if len(hits) != 1:
+        raise InvalidDescriptorError(
+            f"height intervals select {hits} for lam={d.lam}, sigma={d.sigma}"
+        )
+    return hits[0]
+
+
+def reference_signature(d):
+    if isinstance(d, FiniteDim):
+        return d.sig
+    if isinstance(d, TemperedPS):
+        return d.delta
+    if isinstance(d, DiscreteSeries):
+        return Signature.BOTH
+    return d.delta.times_sign(reference_height_by_insertion(d) - d.lam)
+
+
+def reference_enhanced_from_langlands(d):
+    group = d.group
+    if isinstance(d, FiniteDim):
+        return EnhancedParam(group, d.s, 0, d.sig)
+    doubled, slot = reference_char_slots(d)
+    ent = []
+    for j in range(group.rank):
+        v = doubled[j] - _reference_doubled_rho_shift(group, j + 1)
+        if v < 0 or v % 2:
+            raise InvalidDescriptorError(
+                f"{d} does not match a self-dual finite-dimensional character"
+            )
+        ent.append(v // 2)
+    try:
+        weight = validate_weight(ent, group)
+    except NotMonotoneError as exc:
+        raise InvalidDescriptorError(str(exc)) from exc
+    if isinstance(d, DiscreteSeries):
+        return EnhancedParam(group, weight, group.top_height, Signature.BOTH)
+    if isinstance(d, TemperedPS):
+        return EnhancedParam(group, weight, group.top_height, d.delta)
+    return EnhancedParam(group, weight, slot, d.delta.times_sign(slot - d.lam))
+
+
+def reference_langlands_from_enhanced(e):
+    group = e.group
+    n = group.n
+    top = group.top_height
+    if e.height == 0:
+        return FiniteDim(group, e.s, e.sig)
+    a_doubled = [
+        2 * e.s.entries[j] + _reference_doubled_rho_shift(group, j + 1)
+        for j in range(group.rank)
+    ]
+
+    def sigma_from(skip):
+        vals = []
+        for k in range(group.rank):
+            if k == skip:
+                continue
+            pos = len(vals)
+            v = a_doubled[k] - n + 2 * (pos + 1)
+            if v < 0 or v % 2:
+                raise InvariantError(f"sigma entry {v}/2 of {e} is not a nonnegative integer")
+            vals.append(v // 2)
+        return Weight(tuple(vals))
+
+    if e.sig is Signature.BOTH:
+        lam = (a_doubled[-1] + n) // 2
+        return DiscreteSeries(group, sigma_from(group.rank - 1), lam)
+    lam2 = n - a_doubled[e.height]
+    if lam2 % 2:
+        raise InvalidEnhancedError(f"non-integral lam for {e}")
+    lam = lam2 // 2
+    sigma = sigma_from(e.height)
+    if e.height == top:
+        if a_doubled[e.height] != 0:
+            raise InvariantError(f"tempered slot of {e} holds {a_doubled[e.height]}/2, not 0")
+        return TemperedPS(group, sigma, e.sig)
+    return Nontempered(group, sigma, e.sig.times_sign(e.height - lam), lam)

@@ -291,6 +291,23 @@ class TestImportFootprint:
         )
         assert loaded_after(code, HEAVY_STDLIB + UNUSED_BY_CLASSIFY) == []
 
+    def test_conversions_leave_fractions_unloaded(self):
+        # Only ``period`` loads fractions: not convert, height, or a Weight.
+        code = (
+            "import contextlib, io, sobranch.cli\n"
+            "from sobranch import Weight\n"
+            "Weight((3, 1, 0))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in [\n"
+            "        ['convert', '--group', 'SO(5,1)', '--langlands', 'sigma=2,0;delta=+;lambda=0'],\n"
+            "        ['convert', '--group', 'SO(4,1)', '--enhanced', '1,0;h=2;sig=pm'],\n"
+            "        ['height', '--group', 'SO(5,1)', '--enhanced', '1,1,0;h=1;sig=-'],\n"
+            "        ['height', '--group', 'SO(5,1)', '--langlands', 'sigma=1,1;delta=-'],\n"
+            "    ]:\n"
+            "        assert sobranch.cli.main(argv) == 0, argv\n"
+        )
+        assert loaded_after(code, ["fractions", "decimal"]) == []
+
     def test_public_names_resolve_lazily(self):
         import sobranch
 

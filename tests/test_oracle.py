@@ -12,7 +12,7 @@ from sobranch import (
     weyl_dim,
 )
 from sobranch.branching import finite_dim_branch, multiplicity
-from sobranch.errors import NotMonotoneError, UnknownSuiteError, WrongRankError
+from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
 from sobranch.reps import twist_chi_minus
 
@@ -101,6 +101,14 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuiteError):
             run_suite("no-such-suite")
+
+    def test_unknown_bound_key(self):
+        # A misspelled bound must not fall back to its default and pass.
+        with pytest.raises(OutOfRangeError) as exc:
+            run_suite("trivial-rho-diagrams", {"max_m": 3})
+        assert str(exc.value) == "unknown bound trivial-rho-diagrams.max_m; choose from max_n"
+        with pytest.raises(OutOfRangeError, match="choose from max_group, max_entry"):
+            run_suite("chi-twist", {"max_group": 5, "max_entries": 2})
 
     def test_default_bounds_cover_all_suites(self):
         bounds = default_bounds()

@@ -222,7 +222,8 @@ class TestPeriodValue:
                 assert period_value(n, i).pi_quarters == i * (2 * n - i - 1)
 
     def test_matches_direct_substitution(self):
-        for n in range(1, 13):
+        # Every height for n up to 40, and for n in the benchmark's range up to 200.
+        for n in [*range(1, 41), 59, 86, 104, 150, 200]:
             for i in range(n + 1):
                 v = period_value(n, i)
                 sign, rational, quarters = period_formula(n, i)

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,25 @@ from sobranch.errors import (
     WrongRankError,
 )
 from sobranch.oracle import grid_weights
-from sobranch.reps import descriptor_to_json, enhanced_params, theta_param_str
+from sobranch.reps import (
+    _char_slots,
+    _height_by_insertion,
+    _height_by_intervals,
+    descriptor_to_json,
+    enhanced_params,
+    theta_param_str,
+)
+from sobranch.values import store
+
+from conftest import (
+    reference_char_slots,
+    reference_enhanced_from_langlands,
+    reference_height_by_insertion,
+    reference_height_by_intervals,
+    reference_langlands_from_enhanced,
+    reference_signature,
+    theta_weights,
+)
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -342,6 +362,92 @@ class TestJson:
 
     def test_theta_string(self):
         assert theta_param_str(EnhancedParam(GroupTag(5), W(1, 1, 0), 1, M)) == "(1||1,0)-"
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def unchecked(cls, **fields):
+    """A descriptor built without its constructor's checks."""
+    d = object.__new__(cls)
+    for name in cls.__slots__:
+        store(d, name, fields[name])
+    return d
+
+
+def descriptor_grid(group, max_entry):
+    """Every descriptor on group whose constructor accepts it, sigma entries
+    up to max_entry and lam from below zero to past the tempered wall."""
+    n, m = group.n, group.N // 2
+    for entries in combinations_with_replacement(range(max_entry, -1, -1), n // 2):
+        sigma = Weight(entries)
+        for lam in range(-2, n + 1):
+            for delta in (P, M):
+                try:
+                    yield Nontempered(group, sigma, delta, lam)
+                except (InvalidDescriptorError, SingularInfCharError):
+                    pass
+        if not group.is_even and sigma.entries[-1] > 0:
+            yield TemperedPS(group, sigma, P)
+            yield TemperedPS(group, sigma, M)
+        if group.is_even:
+            top = m - 1 + sigma.entries[-1] if sigma.rank else m + max_entry
+            for lam in range(m, top + 1):
+                yield DiscreteSeries(group, sigma, lam)
+
+
+class TestConversionsMatchReference:
+    """The sliced conversions against the per-member code they replaced."""
+
+    GROUPS = [GroupTag(N) for N in range(2, 17)]
+
+    @pytest.mark.parametrize("group", GROUPS, ids=str)
+    def test_every_enhanced_param(self, group):
+        for s in theta_weights(group, 3):
+            descriptors = []
+            for e in enhanced_params(group, s):
+                d = langlands_from_enhanced(e)
+                assert d == reference_langlands_from_enhanced(e)
+                assert enhanced_from_langlands(d) == reference_enhanced_from_langlands(d) == e
+                assert height(d) == reference_height_by_intervals(d) == e.height
+                assert signature(d) == reference_signature(d)
+                if not isinstance(d, FiniteDim):
+                    assert _char_slots(d) == reference_char_slots(d)
+                descriptors.append(d)
+            assert classify(group, s) == descriptors
+
+    @pytest.mark.parametrize("group", GROUPS, ids=str)
+    def test_every_descriptor(self, group):
+        # Includes lam below zero, where the intervals and the slot still agree.
+        count = 0
+        for d in descriptor_grid(group, 2):
+            count += 1
+            assert outcome(_char_slots, d) == outcome(reference_char_slots, d)
+            assert outcome(_height_by_insertion, d) == outcome(reference_height_by_insertion, d)
+            assert outcome(_height_by_intervals, d) == outcome(reference_height_by_intervals, d)
+            assert outcome(signature, d) == outcome(reference_signature, d)
+            assert outcome(enhanced_from_langlands, d) == outcome(reference_enhanced_from_langlands, d)
+        assert count > 0
+
+    @pytest.mark.parametrize("N", [3, 4, 7, 10])
+    def test_singular_input_raises_the_same(self, N):
+        # Every wall lam = k - sigma_k, built past the constructor's check.
+        group = GroupTag(N)
+        sigma = W(*range(group.n // 2, 0, -1))
+        for k in range(1, sigma.rank + 1):
+            d = unchecked(Nontempered, group=group, sigma=sigma, delta=P, lam=k - sigma.entries[k - 1])
+            want = outcome(reference_char_slots, d)
+            assert want[0] is SingularInfCharError
+            for fn in (_char_slots, height, signature, enhanced_from_langlands):
+                assert outcome(fn, d) == want
+        d = unchecked(TemperedPS, group=GroupTag(5), sigma=W(1, 0), delta=P)
+        assert outcome(enhanced_from_langlands, d) == outcome(reference_enhanced_from_langlands, d)
+        assert outcome(enhanced_from_langlands, d)[0] is SingularInfCharError
 
 
 @given(data=st.data())

@@ -27,6 +27,7 @@ from sobranch.weights import count_interlacing
 from conftest import (
     brute_interlacing,
     recursive_so_dim,
+    reference_weight_error,
     reference_weyl_dim,
     so3_dim,
     so4_dim,
@@ -87,6 +88,56 @@ class TestValidateWeight:
         # No truncation to (1, 0, 0): the entries are passed through as given.
         with pytest.raises(NotMonotoneError):
             validate_weight(entries, GroupTag(5))
+
+
+INTEGERS = "weight entries must be integers: "
+NONNEGATIVE = "weight entries must be nonnegative: "
+DECREASING = "weight entries must be weakly decreasing: "
+
+
+class TestWeightErrors:
+    """``Weight`` reports the first of its faults: type, then sign, then order."""
+
+    @pytest.mark.parametrize(
+        "entries, prefix",
+        [
+            ((1.5,), INTEGERS),
+            ((2, 1.0), INTEGERS),
+            ((True,), INTEGERS),
+            ((1, False), INTEGERS),
+            (("2", "1"), INTEGERS),
+            ((-1,), NONNEGATIVE),
+            ((3, 0, -2), NONNEGATIVE),
+            ((1, 2), DECREASING),
+            ((0, 1, 0), DECREASING),
+            ((-1, 2), NONNEGATIVE),  # sign before order
+            ((1.5, -1), INTEGERS),  # type before sign
+            ((-1, 0.5, 3), INTEGERS),  # type before sign and order
+            ([1, 2], DECREASING),
+            ([-1, 2], NONNEGATIVE),
+        ],
+    )
+    def test_message(self, entries, prefix):
+        with pytest.raises(NotMonotoneError) as exc:
+            Weight(entries)
+        assert str(exc.value) == f"{prefix}{entries}"
+
+    @pytest.mark.parametrize("entries", [(), (0,), (3, 3, 1, 0), [2, 1]])
+    def test_accepts(self, entries):
+        assert Weight(entries).entries is entries
+
+    def test_matches_reference_loops(self):
+        # Every tuple of up to three mixed values raises what the old loops raised.
+        values = [-1, 0, 1, 2, 1.5, True, "x"]
+        for k in range(4):
+            for entries in product(values, repeat=k):
+                want = reference_weight_error(entries)
+                try:
+                    Weight(entries)
+                    got = None
+                except NotMonotoneError as exc:
+                    got = str(exc)
+                assert got == want, entries
 
 
 class TestInfChar:
