@@ -410,6 +410,8 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
     """Read a grid-bounds override file: {suite: {bound: integer}}."""
+    from .oracle import check_bounds
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -426,11 +428,10 @@ def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dic
         if not isinstance(bounds, dict):
             raise OutOfRangeError(f"grid file {path!r}: bounds of {suite!r} must be an object")
         for key, value in bounds.items():
-            if key not in defaults[suite]:
-                raise OutOfRangeError(
-                    f"grid file {path!r}: unknown bound {suite}.{key}; "
-                    f"choose from {', '.join(defaults[suite])}"
-                )
+            try:
+                check_bounds(suite, (key,), defaults)
+            except OutOfRangeError as exc:
+                raise OutOfRangeError(f"grid file {path!r}: {exc}") from None
             if type(value) is not int:
                 raise OutOfRangeError(
                     f"grid file {path!r}: bound {suite}.{key} must be an integer, got {value!r}"

@@ -13,7 +13,7 @@ import json
 import time
 from importlib import resources
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import SUITE_NAMES
 from .branching import multiplicity, sb_diagram
@@ -333,6 +333,14 @@ def default_bounds() -> dict:
     return data
 
 
+def check_bounds(suite: str, keys: Iterable[str], defaults: dict) -> None:
+    """Raise ``OutOfRangeError`` for a bound key that ``defaults[suite]`` does not list."""
+    known = defaults[suite]
+    for key in keys:
+        if key not in known:
+            raise OutOfRangeError(f"unknown bound {suite}.{key}; choose from {', '.join(known)}")
+
+
 def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     """Run one named suite over its grid and report the counterexamples.
 
@@ -344,13 +352,9 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     bounds = bounds or {}
-    defaults = default_bounds()[suite]
-    for key in bounds:
-        if key not in defaults:
-            raise OutOfRangeError(
-                f"unknown bound {suite}.{key}; choose from {', '.join(defaults)}"
-            )
-    bounds = {**defaults, **bounds}
+    defaults = default_bounds()
+    check_bounds(suite, bounds, defaults)
+    bounds = {**defaults[suite], **bounds}
     start = time.perf_counter()
     cases, failures = _SUITES[suite](bounds)
     return SuiteReport(suite, cases, failures, time.perf_counter() - start)

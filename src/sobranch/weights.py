@@ -85,20 +85,15 @@ class Weight(Ordered):
 
     def __init__(self, entries: tuple[int, ...]) -> None:
         e = entries
-        # A valid weight passes in C: plain ints (so ``sorted`` sees nothing
-        # else), last entry nonnegative, weakly decreasing.  A rejected one
-        # walks the loops, which pick the message: type, then sign, then order.
-        if not (
-            _INT_ONLY.issuperset(map(type, e))
-            and (not e or e[-1] >= 0)
-            and list(e) == sorted(e, reverse=True)
-        ):
-            if any(type(x) is not int for x in e):
-                raise NotMonotoneError(f"weight entries must be integers: {e}")
-            if any(x < 0 for x in e):
-                raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
-            if any(e[k] < e[k + 1] for k in range(len(e) - 1)):
-                raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
+        # Each check runs in C; their order picks the message: type, then sign,
+        # then order.  ``sorted`` sees only plain ints; its last entry is the minimum.
+        if not _INT_ONLY.issuperset(map(type, e)):
+            raise NotMonotoneError(f"weight entries must be integers: {e}")
+        descending = sorted(e, reverse=True)
+        if descending and descending[-1] < 0:
+            raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
+        if list(e) != descending:
+            raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
         store(self, "entries", e)
 
     def __eq__(self, other: object):
