@@ -425,17 +425,10 @@ def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dic
             raise UnknownSuiteError(
                 f"grid file {path!r}: unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
             )
-        if not isinstance(bounds, dict):
-            raise OutOfRangeError(f"grid file {path!r}: bounds of {suite!r} must be an object")
-        for key, value in bounds.items():
-            try:
-                check_bounds(suite, (key,), defaults)
-            except OutOfRangeError as exc:
-                raise OutOfRangeError(f"grid file {path!r}: {exc}") from None
-            if type(value) is not int:
-                raise OutOfRangeError(
-                    f"grid file {path!r}: bound {suite}.{key} must be an integer, got {value!r}"
-                )
+        try:
+            check_bounds(suite, bounds, defaults)
+        except OutOfRangeError as exc:
+            raise OutOfRangeError(f"grid file {path!r}: {exc}") from None
     return data
 
 

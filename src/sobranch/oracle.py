@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import time
 from importlib import resources
-from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterator, Sequence
 
 from . import SUITE_NAMES
 from .branching import multiplicity, sb_diagram
@@ -104,34 +104,16 @@ def compact_branch_so(N: int, lam: Sequence[int]) -> list[tuple[int, ...]]:
 
 def so_weights(N: int, max_entry: int) -> Iterator[tuple[int, ...]]:
     """All compact SO(N) highest weights with |entries| bounded, lex decreasing."""
-    k = N // 2
-    signed_last = N % 2 == 0 and k >= 1
-
-    def rec(prefix: tuple[int, ...], bound: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == k:
-            yield prefix
-            return
-        is_last = len(prefix) == k - 1
-        for v in range(bound, -1, -1):
-            yield from rec(prefix + (v,), v)
-            if is_last and signed_last and v > 0:
-                yield from rec(prefix + (-v,), v)
-
-    yield from rec((), max_entry)
+    for w in combinations_with_replacement(range(max_entry, -1, -1), N // 2):
+        yield w
+        if N % 2 == 0 and w and w[-1] > 0:  # its mirror, the negated last entry
+            yield w[:-1] + (-w[-1],)
 
 
 def grid_weights(group: GroupTag, max_entry: int) -> Iterator[Weight]:
     """All theta-weights for SO(N,1) with entries bounded, self-dual when N is odd."""
     free = group.rank - (0 if group.is_even else 1)
-
-    def rec(prefix: tuple[int, ...], bound: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == free:
-            yield prefix
-            return
-        for v in range(bound, -1, -1):
-            yield from rec(prefix + (v,), v)
-
-    for body in rec((), max_entry):
+    for body in combinations_with_replacement(range(max_entry, -1, -1), free):
         yield Weight(body if group.is_even else body + (0,))
 
 
@@ -158,8 +140,8 @@ def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
 
 
 def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
-    max_so = int(bounds["max_so"])
-    max_entry = int(bounds["max_entry"])
+    max_so = bounds["max_so"]
+    max_entry = bounds["max_entry"]
     cases, failures = 0, []
     for N in range(2, max_so + 1):
         for mu in so_weights(N, max_entry):
@@ -172,8 +154,8 @@ def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds["max_group"])
-    max_entry = int(bounds["max_entry"])
+    max_group = bounds["max_group"]
+    max_entry = bounds["max_entry"]
     cases, failures = 0, []
     for N in range(2, max_group + 1):
         group = GroupTag(N)
@@ -189,8 +171,8 @@ def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds["max_group"])
-    max_entry = int(bounds["max_entry"])
+    max_group = bounds["max_group"]
+    max_entry = bounds["max_entry"]
     cases, failures = 0, []
     for N in range(2, max_group + 1):
         group = GroupTag(N)
@@ -209,7 +191,7 @@ def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, list]:
-    max_n = int(bounds["max_n"])
+    max_n = bounds["max_n"]
     cases, failures = 0, []
     for n in range(2, max_n + 1):
         group = GroupTag(n + 1)
@@ -241,8 +223,8 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
     twisted parameter outside the grid (an engine bug) is evaluated
     directly.
     """
-    max_group = int(bounds["max_group"])
-    max_entry = int(bounds["max_entry"])
+    max_group = bounds["max_group"]
+    max_entry = bounds["max_entry"]
     cases, failures = 0, []
     for N in range(3, max_group + 1):
         big_params = grid_enhanced(GroupTag(N), max_entry)
@@ -287,8 +269,8 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
 
 
 def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
-    max_group = int(bounds["max_group"])
-    max_entry = int(bounds["max_entry"])
+    max_group = bounds["max_group"]
+    max_entry = bounds["max_entry"]
     signs = (Signature.PLUS, Signature.MINUS)
     cases, failures = 0, []
     for N in range(3, max_group + 1):
@@ -333,19 +315,26 @@ def default_bounds() -> dict:
     return data
 
 
-def check_bounds(suite: str, keys: Iterable[str], defaults: dict) -> None:
-    """Raise ``OutOfRangeError`` for a bound key that ``defaults[suite]`` does not list."""
+def check_bounds(suite: str, bounds: dict, defaults: dict) -> None:
+    """Raise ``OutOfRangeError`` unless bounds is a dict whose keys
+    ``defaults[suite]`` lists and whose values are integers; each key is
+    checked before its value."""
+    if not isinstance(bounds, dict):
+        raise OutOfRangeError(f"bounds of {suite!r} must be an object")
     known = defaults[suite]
-    for key in keys:
+    for key, value in bounds.items():
         if key not in known:
             raise OutOfRangeError(f"unknown bound {suite}.{key}; choose from {', '.join(known)}")
+        if type(value) is not int:
+            raise OutOfRangeError(f"bound {suite}.{key} must be an integer, got {value!r}")
 
 
 def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     """Run one named suite over its grid and report the counterexamples.
 
     A bound that ``bounds`` leaves out keeps its value from suite_grids.json;
-    a key that suite_grids.json does not list raises ``OutOfRangeError``.
+    bounds that are not a dict, a key that suite_grids.json does not list, or
+    a value that is not an integer raise ``OutOfRangeError``.
     """
     if suite not in _SUITES:
         raise UnknownSuiteError(

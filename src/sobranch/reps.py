@@ -11,9 +11,11 @@ coordinate systems:
   marks the bar position of the underlying cohomologically induced module
   and the signature flips under twisting by the nontrivial character.
 
-The two are related by sorting the infinitesimal-character multiset: the
-theta-weight is the sorted multiset minus the rho-shift, and the height is
-the slot where the continuous parameter lands.
+The two share an infinitesimal character, and are related by a closed-form
+dictionary: the height is the slot where the continuous parameter sorts
+among the entries coming from sigma, and the theta-weight is sigma shifted
+down by one above that slot, with one entry for the continuous parameter at
+it (see ``enhanced_from_langlands`` and ``langlands_from_enhanced``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .weights import (
     InfChar,
     Weight,
     check_weight,
-    finite_dim_doubled,
     infchar_finite_dim,
     infchar_principal_series,
     validate_weight,
@@ -271,28 +272,17 @@ def theta_param_str(e: EnhancedParam) -> str:
     return f"({head}||{tail}){e.sig.value}"
 
 
-def _char_slots(d: RepDescriptor) -> tuple[list[int], int]:
-    """Doubled infinitesimal-character entries sorted decreasing, plus the
-    0-based slot occupied by the continuous parameter."""
-    group = d.group
-    n = group.n
-    if isinstance(d, (Nontempered, TemperedPS, DiscreteSeries)):
-        sigma = d.sigma
-        if isinstance(d, TemperedPS):
-            lam2 = n  # doubled lam = n means |2 lam - n| = 0
-        else:
-            lam2 = 2 * d.lam
-        # strictly decreasing, since sigma is weakly decreasing
-        sig_part = [2 * x + n - 2 * k for k, x in enumerate(sigma.entries, 1)]
-        lam_entry = abs(lam2 - n)
-        if lam_entry in sig_part:
-            raise SingularInfCharError(
-                f"parameter hits a reducibility wall: repeated entry {lam_entry}/2"
-            )
-        slot = sum(map(lam_entry.__lt__, sig_part))  # entries sorting before it
-        sig_part.insert(slot, lam_entry)
-        return sig_part, slot
-    raise TypeError(f"no character slots for {type(d).__name__}")
+def _char_slot(d: RepDescriptor) -> tuple[int, int]:
+    """Slot of the continuous parameter among the doubled infinitesimal-character
+    entries sorted decreasing, and its doubled entry a = |2 lam - n|."""
+    n = d.group.n
+    a = 0 if isinstance(d, TemperedPS) else abs(2 * d.lam - n)
+    # strictly decreasing, since sigma is weakly decreasing
+    walls = [2 * x + n - 2 * k for k, x in enumerate(d.sigma.entries, 1)]
+    slot = sum(map(a.__lt__, walls))  # entries sorting before it
+    if slot < len(walls) and walls[slot] == a:
+        raise SingularInfCharError(f"parameter hits a reducibility wall: repeated entry {a}/2")
+    return slot, a
 
 
 def _height_by_insertion(d: RepDescriptor) -> int:
@@ -301,8 +291,7 @@ def _height_by_insertion(d: RepDescriptor) -> int:
         return 0
     if isinstance(d, DiscreteSeries):
         return d.group.top_height
-    _, slot = _char_slots(d)
-    return slot
+    return _char_slot(d)[0]
 
 
 def _height_by_intervals(d: RepDescriptor) -> int:
@@ -354,25 +343,26 @@ def signature(d: RepDescriptor) -> Signature:
 def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
     """Enhanced parameter (theta-weight, height, signature) of a descriptor.
 
-    The sorted infinitesimal-character multiset minus the rho-shift gives the
-    theta-weight; the slot of the continuous parameter gives the height
-    (pushed to the top for the discrete series, whose entry always sorts
-    last); the signature follows the twist rule delta * (-1)^(height - lam).
+    With the continuous parameter at ``_char_slot`` position slot and doubled
+    entry a, the theta-weight is sigma_k - 1 above the slot, slot + (a - n)/2
+    at it and sigma_k below it; the slot gives the height (pushed to the top
+    for the discrete series, whose entry always sorts last); the signature
+    follows the twist rule delta * (-1)^(height - lam).
     """
     group = d.group
     if isinstance(d, FiniteDim):
         return EnhancedParam(group, d.s, 0, d.sig)
-    doubled, slot = _char_slots(d)
-    n = group.n
-    # minus the doubled rho-shift, n - 2j at 0-based position j
-    ent = [v - n + 2 * j for j, v in enumerate(doubled)]
-    for v in ent:
-        if v < 0 or v % 2:
-            raise InvalidDescriptorError(
-                f"{d} does not match a self-dual finite-dimensional character"
-            )
+    slot, a = _char_slot(d)
+    sig_e = d.sigma.entries
+    ent = [x - 1 for x in sig_e[:slot]]
+    ent.append(slot + (a - group.n) // 2)
+    ent += sig_e[slot:]
+    if min(ent) < 0:
+        raise InvalidDescriptorError(
+            f"{d} does not match a self-dual finite-dimensional character"
+        )
     try:
-        weight = validate_weight([v // 2 for v in ent], group)
+        weight = validate_weight(ent, group)
     except NotMonotoneError as exc:  # pragma: no cover - blocked by construction
         raise InvalidDescriptorError(str(exc)) from exc
     if isinstance(d, DiscreteSeries):
@@ -385,47 +375,25 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
 def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
     """Invert enhanced_from_langlands; the unique descriptor with this parameter.
 
-    Height 0 returns the finite-dimensional form.  Otherwise the rho-shifted
-    weight entries are split around the height slot: the skipped entry a
-    recovers lam (n/2 - a for nontempered and tempered parameters, a + n/2
-    for the discrete series, whose slot is the last), and the rest recover
-    sigma.
+    Height 0 returns the finite-dimensional form.  Otherwise the entry s_h at
+    the height h is skipped: sigma is s_k + 1 above it and s_k below it,
+    lam = h - s_h and delta = sig * (-1)^(s_h); the discrete series, whose slot
+    is the last, has lam = s_h + N/2.
     """
-    return _descriptor(e, finite_dim_doubled(e.group, e.s))
-
-
-def _descriptor(e: EnhancedParam, a_doubled: list[int]) -> RepDescriptor:
-    """``langlands_from_enhanced`` of e, given ``finite_dim_doubled`` of
-    its weight."""
     group = e.group
-    if e.height == 0:
-        return FiniteDim(group, e.s, e.sig)
-    n = group.n
-    if e.sig is _BOTH:  # only the discrete-series slot carries the wildcard
-        lam = (a_doubled[-1] + n) // 2
-        return DiscreteSeries(group, _sigma_without(e, a_doubled, group.rank - 1), lam)
     h = e.height
-    lam2 = n - a_doubled[h]
-    if lam2 % 2:  # pragma: no cover - parity is fixed by the group
-        raise InvalidEnhancedError(f"non-integral lam for {e}")
-    lam = lam2 // 2
-    sigma = _sigma_without(e, a_doubled, h)
+    if h == 0:
+        return FiniteDim(group, e.s, e.sig)
+    s = e.s.entries
+    if e.sig is _BOTH:  # only the discrete-series slot carries the wildcard
+        return DiscreteSeries(group, Weight([x + 1 for x in s[:-1]]), s[-1] + group.N // 2)
+    sigma = Weight([x + 1 for x in s[:h]] + [*s[h + 1 :]])
     if h == group.top_height:
         # N odd tempered slot: the skipped entry is forced to 0, so lam = n/2.
-        if a_doubled[h] != 0:
-            raise InvariantError(f"tempered slot of {e} holds {a_doubled[h]}/2, not 0")
+        if s[h] != 0:
+            raise InvariantError(f"tempered slot of {e} holds {s[h]}, not 0")
         return TemperedPS(group, sigma, e.sig)
-    return Nontempered(group, sigma, e.sig.times_sign(h - lam), lam)
-
-
-def _sigma_without(e: EnhancedParam, a_doubled: list[int], skip: int) -> Weight:
-    """sigma from the entries of ``a_doubled`` other than the one at ``skip``."""
-    n = e.group.n
-    vals = [v - n + 2 * k for k, v in enumerate(a_doubled[:skip] + a_doubled[skip + 1 :], 1)]
-    for v in vals:
-        if v < 0 or v % 2:
-            raise InvariantError(f"sigma entry {v}/2 of {e} is not a nonnegative integer")
-    return Weight(tuple([v // 2 for v in vals]))
+    return Nontempered(group, sigma, e.sig.times_sign(s[h]), h - s[h])
 
 
 def twist_chi_minus(e: EnhancedParam) -> EnhancedParam:
@@ -471,12 +439,10 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
 
     There are exactly n + 2 of them: every height below the top with both
     signatures, plus the tempered top (two principal series members for N
-    odd, one discrete series for N even).  Parameters are recovered by
-    infinitesimal-character multiset matching, as langlands_from_enhanced
-    does, from one rho-shifted copy of the weight shared by every member.
+    odd, one discrete series for N even), each ``langlands_from_enhanced``
+    of one of ``enhanced_params``.
     """
-    a_doubled = finite_dim_doubled(group, s)
-    out = [_descriptor(e, a_doubled) for e in enhanced_params(group, s)]
+    out = [langlands_from_enhanced(e) for e in enhanced_params(group, s)]
     if len(out) != group.n + 2:
         raise InvariantError(f"classify found {len(out)} parameters for {group}, not n + 2")
     return out

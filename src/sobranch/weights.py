@@ -94,7 +94,7 @@ class Weight(Ordered):
             raise NotMonotoneError(f"weight entries must be nonnegative: {e}")
         if list(e) != descending:
             raise NotMonotoneError(f"weight entries must be weakly decreasing: {e}")
-        store(self, "entries", e)
+        store(self, "entries", tuple(e))
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -197,14 +197,8 @@ def infchar_finite_dim(group: GroupTag, s: Weight) -> InfChar:
     weakly decreasing weight, and asserted.
     """
     check_weight(s, group)
-    return InfChar.from_doubled(finite_dim_doubled(group, s))
-
-
-def finite_dim_doubled(group: GroupTag, s: Weight) -> list[int]:
-    """Twice the entries s_j + n/2 + 1 - j (1-based j) of the infinitesimal
-    character of the finite-dimensional module with weight s, in order."""
     n = group.n
-    return [2 * x + n - 2 * j for j, x in enumerate(s.entries)]
+    return InfChar.from_doubled([2 * x + n - 2 * j for j, x in enumerate(s.entries)])
 
 
 def infchar_principal_series(group: GroupTag, sigma: Weight, lam: int) -> InfChar:

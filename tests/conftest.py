@@ -133,6 +133,21 @@ def theta_weights(group: GroupTag, max_entry: int) -> list[Weight]:
     return out
 
 
+def reference_so_weights(N: int, max_entry: int) -> list[tuple[int, ...]]:
+    """Compact SO(N) highest weights with |entries| <= max_entry by raw filtering,
+    sorted lex decreasing on the absolute values, each positive last entry of
+    an even N just before its mirror."""
+    k = N // 2
+    out = []
+    for w in product(range(max_entry, -max_entry - 1, -1), repeat=k):
+        norm = w[:-1] + (abs(w[-1]),)
+        if min(w[:-1], default=0) < 0 or (N % 2 and w[-1] < 0):
+            continue
+        if all(norm[i] >= norm[i + 1] for i in range(k - 1)):
+            out.append(w)
+    return sorted(out, key=lambda w: (*w[:-1], abs(w[-1]), w[-1]), reverse=True)
+
+
 def src_env() -> dict:
     """Environment for a child interpreter that imports sobranch from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -220,10 +235,10 @@ def reference_weight_error(e) -> str | None:
     return None
 
 
-# The per-member conversions that ``sobranch.reps`` replaced with sliced
-# and shared rho-shifted entries, kept as their reference: a tagged sort for
-# the slot, the rho-shift one position at a time, sigma rebuilt entry by
-# entry, and the interval test through a helper.
+# The conversions through the doubled infinitesimal character, which
+# ``sobranch.reps`` replaced with the closed-form dictionary, kept as their
+# reference: a tagged sort for the slot, the rho-shift one position at a
+# time, sigma rebuilt entry by entry, and the interval test through a helper.
 
 
 def _reference_doubled_rho_shift(group, j):

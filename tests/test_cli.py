@@ -246,6 +246,14 @@ class TestSelftest:
         assert code == 2 and out == ""
         assert "unknown bound trivial-rho-diagrams.max_m" in err
 
+    def test_non_integer_bound_in_grids_is_2(self, capsys, tmp_path):
+        # The grid file's prefix on the library's message.
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"roundtrip": {"max_group": 3.9}}))
+        code, out, err = run_cli(capsys, "selftest", "--grids", str(grids))
+        assert code == 2 and out == ""
+        assert f"grid file {str(grids)!r}: bound roundtrip.max_group must be an integer, got 3.9" in err
+
     def test_partial_grid_override_keeps_other_defaults(self, capsys, tmp_path):
         def cases(bounds):
             grids = tmp_path / "grids.json"

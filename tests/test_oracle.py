@@ -16,7 +16,7 @@ from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
 from sobranch.reps import twist_chi_minus
 
-from conftest import recursive_so_dim, reference_chi_twist
+from conftest import recursive_so_dim, reference_chi_twist, reference_so_weights, theta_weights
 
 SMALL_BOUNDS = {
     "dim-conservation": {"max_so": 6, "max_entry": 2},
@@ -91,6 +91,17 @@ class TestGrids:
                 assert height0_targets(group, s) == engine, (N, s)
         assert weights == 134
 
+    @pytest.mark.parametrize("N", range(2, 14))
+    def test_so_weights_match_reference(self, N):
+        for max_entry in range(5):
+            assert list(so_weights(N, max_entry)) == reference_so_weights(N, max_entry)
+
+    @pytest.mark.parametrize("N", range(2, 14))
+    def test_grid_weights_match_reference(self, N):
+        for max_entry in range(5):
+            group = GroupTag(N)
+            assert list(grid_weights(group, max_entry)) == theta_weights(group, max_entry)
+
     def test_grid_weight_counts(self):
         # weakly decreasing tuples with entries <= 4: C(free + 4, 4)
         assert len(list(grid_weights(GroupTag(11), 4))) == 126
@@ -109,6 +120,30 @@ class TestSuites:
         assert str(exc.value) == "unknown bound trivial-rho-diagrams.max_m; choose from max_n"
         with pytest.raises(OutOfRangeError, match="choose from max_group, max_entry"):
             run_suite("chi-twist", {"max_group": 5, "max_entries": 2})
+
+    @pytest.mark.parametrize(
+        "value", [3.9, True, "4", "x", None, [3]], ids=["float", "bool", "str", "word", "none", "list"]
+    )
+    def test_non_integer_bound(self, value):
+        # 3.9 used to run as 3, True as 1 (0 cases, a pass), "4" as 4, and
+        # "x" raised a bare ValueError.
+        with pytest.raises(OutOfRangeError) as exc:
+            run_suite("trivial-rho-diagrams", {"max_n": value})
+        assert str(exc.value) == (
+            f"bound trivial-rho-diagrams.max_n must be an integer, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("bounds", [[("max_n", 3)], "max_n", 5])
+    def test_bounds_not_a_dict(self, bounds):
+        with pytest.raises(OutOfRangeError) as exc:
+            run_suite("trivial-rho-diagrams", bounds)
+        assert str(exc.value) == "bounds of 'trivial-rho-diagrams' must be an object"
+
+    def test_bound_key_checked_before_its_value(self):
+        with pytest.raises(OutOfRangeError, match="unknown bound roundtrip.max_grp"):
+            run_suite("roundtrip", {"max_grp": "x", "max_group": 2})
+        with pytest.raises(OutOfRangeError, match="bound roundtrip.max_group must be an integer"):
+            run_suite("roundtrip", {"max_group": "x", "max_grp": 2})
 
     def test_default_bounds_cover_all_suites(self):
         bounds = default_bounds()

@@ -32,7 +32,6 @@ from sobranch.errors import (
 )
 from sobranch.oracle import grid_weights
 from sobranch.reps import (
-    _char_slots,
     _height_by_insertion,
     _height_by_intervals,
     descriptor_to_json,
@@ -402,7 +401,8 @@ def descriptor_grid(group, max_entry):
 
 
 class TestConversionsMatchReference:
-    """The sliced conversions against the per-member code they replaced."""
+    """The closed-form conversions against the infinitesimal-character
+    sorting they replaced."""
 
     GROUPS = [GroupTag(N) for N in range(2, 17)]
 
@@ -416,8 +416,7 @@ class TestConversionsMatchReference:
                 assert enhanced_from_langlands(d) == reference_enhanced_from_langlands(d) == e
                 assert height(d) == reference_height_by_intervals(d) == e.height
                 assert signature(d) == reference_signature(d)
-                if not isinstance(d, FiniteDim):
-                    assert _char_slots(d) == reference_char_slots(d)
+                assert _height_by_insertion(d) == reference_height_by_insertion(d)
                 descriptors.append(d)
             assert classify(group, s) == descriptors
 
@@ -427,7 +426,6 @@ class TestConversionsMatchReference:
         count = 0
         for d in descriptor_grid(group, 2):
             count += 1
-            assert outcome(_char_slots, d) == outcome(reference_char_slots, d)
             assert outcome(_height_by_insertion, d) == outcome(reference_height_by_insertion, d)
             assert outcome(_height_by_intervals, d) == outcome(reference_height_by_intervals, d)
             assert outcome(signature, d) == outcome(reference_signature, d)
@@ -443,7 +441,7 @@ class TestConversionsMatchReference:
             d = unchecked(Nontempered, group=group, sigma=sigma, delta=P, lam=k - sigma.entries[k - 1])
             want = outcome(reference_char_slots, d)
             assert want[0] is SingularInfCharError
-            for fn in (_char_slots, height, signature, enhanced_from_langlands):
+            for fn in (_height_by_insertion, height, signature, enhanced_from_langlands):
                 assert outcome(fn, d) == want
         d = unchecked(TemperedPS, group=GroupTag(5), sigma=W(1, 0), delta=P)
         assert outcome(enhanced_from_langlands, d) == outcome(reference_enhanced_from_langlands, d)

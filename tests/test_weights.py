@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobranch import (
+    EnhancedParam,
     GroupTag,
+    Signature,
     Weight,
     enumerate_interlacing,
     infchar_finite_dim,
@@ -125,6 +127,15 @@ class TestWeightErrors:
     @pytest.mark.parametrize("entries", [(), (0,), (3, 3, 1, 0), [2, 1]])
     def test_accepts(self, entries):
         assert tuple(Weight(entries).entries) == tuple(entries)
+
+    def test_list_argument_equals_tuple(self):
+        # A list used to be kept as given: unequal to the tuple weight, and unhashable.
+        w = Weight([2, 1])
+        assert w == Weight((2, 1)) and hash(w) == hash(Weight((2, 1)))
+        assert type(w.entries) is tuple
+        e = EnhancedParam(GroupTag(4), w, 1, Signature.PLUS)
+        table = {e: "found"}
+        assert table[EnhancedParam(GroupTag(4), Weight((2, 1)), 1, Signature.PLUS)] == "found"
 
     def test_matches_reference_loops(self):
         # Every tuple of up to three mixed values raises what the old loops raised.
