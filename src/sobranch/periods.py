@@ -13,6 +13,7 @@ is computed in exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Optional
 
@@ -75,7 +76,8 @@ class PeriodValue(Value):
     def pretty(self) -> str:
         parts = []
         if self.rational != 1 or self.pi_quarters == 0:
-            parts.append(str(self.rational))
+            num, den = self.rational.numerator, self.rational.denominator
+            parts.append(_decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}")
         if self.pi_quarters != 0:
             g = math.gcd(self.pi_quarters, 4)
             num, den = self.pi_quarters // g, 4 // g
@@ -91,11 +93,22 @@ class PeriodValue(Value):
     def to_json(self) -> dict:
         return {
             "sign": self.sign,
-            "num": str(self.rational.numerator),
-            "den": str(self.rational.denominator),
+            "num": _decimal(self.rational.numerator),
+            "den": _decimal(self.rational.denominator),
             "pi_quarters": self.pi_quarters,
             "pretty": self.pretty(),
         }
+
+
+def _decimal(x: int) -> str:
+    """``str(x)``, or ``OutOfRangeError`` past Python's digit limit for it."""
+    try:
+        return str(x)
+    except ValueError:  # raised only by the limit, for an int
+        raise OutOfRangeError(
+            f"period value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of Python's int-to-string conversion"
+        ) from None
 
 
 class KTypeLabel(Value):

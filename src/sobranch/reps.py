@@ -401,6 +401,19 @@ def twist_chi_minus(e: EnhancedParam) -> EnhancedParam:
     return EnhancedParam(e.group, e.s, e.height, e.sig.flipped())
 
 
+def _sequence(group: GroupTag, s: Weight, sig0: Signature, step: int) -> list[EnhancedParam]:
+    """Members at heights 0..top of weight s, member i with signature
+    sig0 * (-1)^(step*i + s_1 - s_{i+1}), the wildcard at the discrete-series slot."""
+    _require_definite(sig0, "sig0")
+    check_weight(s, group)
+    e = s.entries
+    return [
+        EnhancedParam(group, s, i, _BOTH if _BOTH in signatures_at(group, i)
+                      else sig0.times_sign(step * i + e[0] - e[i]))
+        for i in range(group.top_height + 1)
+    ]
+
+
 def hasse_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[EnhancedParam]:
     """Chain U_0, ..., U_top of parameters starting at the finite-dimensional one.
 
@@ -408,21 +421,13 @@ def hasse_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[Enhanced
     normalized so that U_0 carries sig0; the top member is tempered (for N
     even it is the discrete series and carries the wildcard signature).
     """
-    _require_definite(sig0, "sig0")
-    check_weight(s, group)
-    return [
-        EnhancedParam(group, s, i, _BOTH if _BOTH in signatures_at(group, i)
-                      else sig0.times_sign(i - s.entries[i] + s.entries[0]))
-        for i in range(group.top_height + 1)
-    ]
+    return _sequence(group, s, sig0, 1)
 
 
 def standard_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[EnhancedParam]:
-    """Hasse sequence with member i twisted by the i-th power of the sign character."""
-    out = []
-    for i, u in enumerate(hasse_sequence(group, s, sig0)):
-        out.append(EnhancedParam(group, u.s, u.height, u.sig.times_sign(i)))
-    return out
+    """Hasse sequence with member i twisted by the i-th power of the sign
+    character: member i carries sig0 * (-1)^(s_1 - s_{i+1})."""
+    return _sequence(group, s, sig0, 0)
 
 
 def enhanced_params(group: GroupTag, s: Weight) -> Iterator[EnhancedParam]:

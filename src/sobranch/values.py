@@ -13,6 +13,11 @@ The generic ``__eq__`` and ``__hash__`` are for records off the hot paths;
 ``GroupTag``, ``Weight`` and ``EnhancedParam`` write theirs out, as a
 dataclass would generate them, because dict lookups of parameters sit in
 the oracle's inner loops.
+
+``GroupTag``'s field is N alone, but its ``__slots__`` also hold the numbers
+derived from N (n, rank, top height, parity), stored once when the shared
+object of each N is built; it overrides ``_astuple`` and ``__repr__`` so
+that equality, hash, ordering, repr and pickling still see N alone.
 """
 
 from __future__ import annotations

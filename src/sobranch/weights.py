@@ -24,17 +24,56 @@ from .values import Ordered, Value, store
 
 _GROUP_RE = re.compile(r"SO\(\s*(\d+)\s*,\s*1\s*\)")
 _INT_ONLY = frozenset((int,))
+_GROUPS: dict[int, "GroupTag"] = {}  # the shared GroupTag of each N
 
 
 class GroupTag(Ordered):
-    """The Lorentz group SO(N,1); its rank-one subgroup is SO(N-1,1)."""
+    """The Lorentz group SO(N,1); its rank-one subgroup is SO(N-1,1).
 
-    __slots__ = ("N",)
+    N is the one field: repr, equality, hash, ordering and pickling see N
+    alone.  ``GroupTag(N)`` returns one shared object per N (the table
+    keeps one small object for each N ever asked for), built once with its
+    derived numbers as plain attributes:
 
-    def __init__(self, N: int) -> None:
+    * ``n = N - 1``, the dimension parameter of the maximal compact part;
+    * ``rank = (N + 1) // 2``, the number of entries of a highest weight or
+      theta-weight;
+    * ``top_height = N // 2``, the largest height, attained exactly by the
+      tempered parameters;
+    * ``is_even``, whether N is even.
+
+    Pickling and copying return the shared object.  Instances of a subclass
+    are built afresh and never equal a ``GroupTag``.
+    """
+
+    __slots__ = ("N", "n", "rank", "top_height", "is_even")
+
+    def __new__(cls, N: int) -> "GroupTag":
+        # The type test comes first: 5.0 and True would find the entry of 5 and 1.
+        if type(N) is not int:
+            raise OutOfRangeError(
+                f"SO({N!r},1) not supported; N must be an int, not {type(N).__name__}"
+            )
+        if cls is GroupTag:
+            g = _GROUPS.get(N)
+            if g is not None:
+                return g
         if N < 2:
             raise OutOfRangeError(f"SO({N},1) not supported; need N >= 2")
-        store(self, "N", N)
+        g = object.__new__(cls)
+        store(g, "N", N)
+        store(g, "n", N - 1)
+        store(g, "rank", (N + 1) // 2)
+        store(g, "top_height", N // 2)
+        store(g, "is_even", N % 2 == 0)
+        # setdefault: a thread that lost a race still returns the shared object
+        return _GROUPS.setdefault(N, g) if cls is GroupTag else g
+
+    def _astuple(self) -> tuple:
+        return (self.N,)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(N={self.N!r})"
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -43,25 +82,6 @@ class GroupTag(Ordered):
 
     def __hash__(self) -> int:
         return hash((self.N,))
-
-    @property
-    def n(self) -> int:
-        """Dimension parameter of the maximal compact part, n = N - 1."""
-        return self.N - 1
-
-    @property
-    def rank(self) -> int:
-        """Number of entries of a highest weight / theta-weight for SO(N,1)."""
-        return (self.N + 1) // 2
-
-    @property
-    def top_height(self) -> int:
-        """Largest height, attained exactly by the tempered parameters."""
-        return self.N // 2
-
-    @property
-    def is_even(self) -> bool:
-        return self.N % 2 == 0
 
     @property
     def subgroup(self) -> "GroupTag":

@@ -368,3 +368,30 @@ def reference_langlands_from_enhanced(e):
             raise InvariantError(f"tempered slot of {e} holds {a_doubled[e.height]}/2, not 0")
         return TemperedPS(group, sigma, e.sig)
     return Nontempered(group, sigma, e.sig.times_sign(e.height - lam), lam)
+
+
+# The sequence builders before each member was built once: the Hasse
+# sequence through the full EnhancedParam checks, then every member twisted
+# i times by the sign character, with the discrete-series slot spelled out
+# here rather than taken from ``signatures_at``.
+
+
+def reference_hasse_sequence(group, s, sig0):
+    out = []
+    for i in range(group.top_height + 1):
+        if group.is_even and i == group.top_height:
+            sig = Signature.BOTH
+        else:
+            sig = sig0.times_sign(i - s.entries[i] + s.entries[0])
+        out.append(EnhancedParam(group, s, i, sig))
+    return out
+
+
+def reference_standard_sequence(group, s, sig0):
+    out = []
+    for i, u in enumerate(reference_hasse_sequence(group, s, sig0)):
+        sig = u.sig
+        for _ in range(i):
+            sig = sig.flipped()
+        out.append(EnhancedParam(group, u.s, u.height, sig))
+    return out

@@ -27,7 +27,7 @@ from sobranch.errors import (
 )
 from sobranch.oracle import grid_enhanced, grid_weights
 
-from conftest import brute_interlacing, theta_weights
+from conftest import brute_interlacing, reference_standard_sequence, theta_weights
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -184,6 +184,22 @@ class TestDiagrams:
                         continue
                     for a in sb_diagram(group, s, s_sub, P):
                         assert a.to_height in (a.from_height, a.from_height - 1)
+
+    @pytest.mark.parametrize("N", range(3, 14))
+    def test_arrows_match_reference_sequences(self, N):
+        group = GroupTag(N)
+        sub_weights = theta_weights(group.subgroup, 3)
+        for s in theta_weights(group, 3):
+            for s_sub in sub_weights:
+                if not interlaces(s, s_sub):
+                    continue
+                for sig in (P, M):
+                    top = reference_standard_sequence(group, s, sig)
+                    bottom = reference_standard_sequence(group.subgroup, s_sub, sig)
+                    want = [(i, j) for i, t in enumerate(top) for j, b in enumerate(bottom)
+                            if multiplicity(t, b) == 1]
+                    got = sb_diagram(group, s, s_sub, sig)
+                    assert [(a.from_height, a.to_height) for a in got] == want
 
     def test_not_interlacing_rejected(self):
         with pytest.raises(NotInterlacingError):

@@ -372,6 +372,7 @@ MALFORMED_ARGV = [
     ["convert", "--group", "SO(5,1)", "--langlands", "sigma=2,0;delta=+;delta=-"],
     ["period", "--n", "0", "--i", "0"],
     ["period", "--n", "-1", "--i", "0", "--ktype"],
+    ["period", "--n", "200", "--i", "100"],  # past Python's int-to-string digit limit
 ]
 
 

@@ -21,6 +21,7 @@ from sobranch import (
 )
 from sobranch.errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
+from sobranch.periods import PeriodValue
 
 from conftest import period_formula, reference_chain, src_env
 
@@ -253,6 +254,17 @@ class TestPeriodValue:
             [sys.executable, "-O", "-c", code], env=src_env(), capture_output=True, text=True
         )
         assert proc.stdout.strip() == "rejected", proc.stderr
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_digit_limit_is_a_package_error(self):
+        limit = sys.get_int_max_str_digits()
+        widest = 10 ** limit - 1  # exactly the limit's number of digits
+        assert PeriodValue(1, Fraction(widest, 7), 0).to_json()["num"] == str(widest)
+        assert PeriodValue(-1, Fraction(1, widest), 4).pretty() == f"-1/{widest}·π"
+        for v in (period_value(200, 100), PeriodValue(1, Fraction(1, 10 * widest + 7), 2)):
+            for render in (v.pretty, v.to_json):
+                with pytest.raises(OutOfRangeError, match=f"more than {limit} digits"):
+                    render()
 
     def test_json(self):
         assert period_value(3, 3).to_json() == {

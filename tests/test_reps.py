@@ -44,9 +44,11 @@ from conftest import (
     reference_char_slots,
     reference_enhanced_from_langlands,
     reference_height_by_insertion,
+    reference_hasse_sequence,
     reference_height_by_intervals,
     reference_langlands_from_enhanced,
     reference_signature,
+    reference_standard_sequence,
     theta_weights,
 )
 
@@ -342,6 +344,28 @@ class TestSequences:
             for sig0 in (P, M):
                 for e in standard_sequence(group, zero, sig0):
                     assert e.sig in (sig0, B)
+
+
+class TestSequencesMatchReference:
+    """Each member built once, against the Hasse sequence twisted member by member."""
+
+    @pytest.mark.parametrize("N", range(2, 14))
+    def test_every_weight(self, N):
+        group = GroupTag(N)
+        for s in theta_weights(group, 3):
+            for sig0 in (P, M):
+                assert hasse_sequence(group, s, sig0) == reference_hasse_sequence(group, s, sig0)
+                assert standard_sequence(group, s, sig0) == reference_standard_sequence(
+                    group, s, sig0
+                )
+
+    def test_rejections_unchanged(self):
+        with pytest.raises(InvalidDescriptorError):
+            standard_sequence(GroupTag(5), W(1, 1, 1), B)  # sig0 is checked first
+        with pytest.raises(NotSelfDualError):
+            standard_sequence(GroupTag(5), W(1, 1, 1), P)
+        with pytest.raises(WrongRankError):
+            hasse_sequence(GroupTag(4), W(1, 1, 0), M)
 
 
 class TestJson:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +53,37 @@ class TestGroupTag:
         assert (g.n, g.rank, g.top_height, g.is_even) == (4, 3, 2, False)
         g = GroupTag(4)
         assert (g.n, g.rank, g.top_height, g.is_even) == (3, 2, 2, True)
+
+    def test_one_shared_object_per_n(self):
+        for N in range(2, 65):
+            g = GroupTag(N)
+            assert GroupTag(N) is g and GroupTag.parse(str(g)) is g
+            if N > 2:
+                assert g.subgroup is GroupTag(N - 1)
+            for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert twin is g
+        assert copy.deepcopy([GroupTag(5)])[0] is GroupTag(5)
+
+    def test_derived_numbers_match_their_formulas(self):
+        for N in range(2, 65):
+            g = GroupTag(N)
+            assert (g.N, g.n, g.rank, g.top_height, g.is_even) == (
+                N, N - 1, (N + 1) // 2, N // 2, N % 2 == 0
+            )
+            assert type(g.is_even) is bool
+
+    def test_subclass_instances_are_not_shared(self):
+        twin_cls = type("Twin", (GroupTag,), {})
+        twin = twin_cls(5)
+        assert twin is not twin_cls(5) and twin == twin_cls(5)
+        assert twin != GroupTag(5) and GroupTag(5) is not twin
+        assert (twin.rank, twin.top_height, twin.subgroup) == (3, 2, GroupTag(4))
+
+    def test_rejects_a_non_int(self):
+        for N in (True, False, 5.0, 5.5, "7", None):
+            with pytest.raises(OutOfRangeError, match="N must be an int"):
+                GroupTag(N)
+        assert GroupTag(5).rank == 3  # a rejected 5.0 left the entry of 5 alone
 
     def test_rejects_small_n(self):
         with pytest.raises(OutOfRangeError):
