@@ -2,7 +2,8 @@
 
 Output is JSON by default (machine mode) or aligned tables with --table.
 Exit codes: 0 success, 2 malformed parameters, 3 parameters outside the
-supported family, 4 verification-suite failure.
+supported family, 4 verification-suite failure.  A reader that closes
+stdout early ends a computed call with 0 and nothing on stderr.
 
 Only ``weights`` and ``reps`` load with this module; a handler imports the
 rest of the library (``branching``, ``periods``, ``cohomology``, ``oracle``)
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -310,13 +312,14 @@ def _cmd_gp_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    from .periods import minimal_k_type_trivial_rho, period_value
+    from .periods import check_period_digits, minimal_k_type_trivial_rho, period_value
 
     if args.ktype:
         label = minimal_k_type_trivial_rho(args.n, args.i)
         payload = {"n": args.n, "i": args.i, "minimal_k_type": label.to_json()}
         _emit(args, payload, label.pretty() + f"  dim {label.dimension}")
         return 0
+    check_period_digits(args.n, args.i)
     value = period_value(args.n, args.i)
     payload = {"n": args.n, "i": args.i, **value.to_json()}
     _emit(args, payload, value.pretty())
@@ -544,10 +547,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The subcommand is the first argument that names one (the top level takes no values).
     args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
-        return COMMANDS[args.command][1](args)
+        code = COMMANDS[args.command][1](args)
+        sys.stdout.flush()  # a reader that stopped early shows here, not at exit
+        return code
     except SobranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The result was computed and the reader chose to stop; send what is
+        # still buffered to the null device so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

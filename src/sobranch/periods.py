@@ -17,7 +17,7 @@ import sys
 from functools import lru_cache
 from typing import Optional
 
-from .branching import branch_enumerate, branch_states
+from .branching import branch_states
 from .errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from .reps import EnhancedParam, Signature, signatures_at
 from .values import Value, store
@@ -105,10 +105,41 @@ def _decimal(x: int) -> str:
     try:
         return str(x)
     except ValueError:  # raised only by the limit, for an int
-        raise OutOfRangeError(
-            f"period value has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit of Python's int-to-string conversion"
-        ) from None
+        raise _digit_limit_error() from None
+
+
+def _digit_limit_error() -> OutOfRangeError:
+    return OutOfRangeError(
+        f"period value has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit of Python's int-to-string conversion"
+    )
+
+
+def check_period_digits(n: int, i: int) -> None:
+    """Raise the error ``_decimal`` would raise on ``period_value(n, i)``
+    when a lower bound on the digits of its reduced denominator already
+    passes the limit, before any factorial is formed.
+
+    The bound is log10 of ((n-i)!)^(i-1) (n-2i)! below the middle and of
+    ((n-i)!)^(i-1) / (2i-n-1)! at or above it (the reduction divides by at
+    most the numerator), from ``math.lgamma``; a margin of a few digits
+    absorbs its rounding, so no value that can be written is refused.
+    Arguments ``period_value`` rejects are left to it.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or not 0 <= i <= n:
+        return
+
+    def log10_factorial(k: int) -> float:
+        return math.lgamma(k + 1) / math.log(10)
+
+    digits = (i - 1) * log10_factorial(n - i)
+    if 2 * i < n + 1:
+        digits += log10_factorial(n - 2 * i)
+    else:
+        digits -= log10_factorial(2 * i - n - 1)
+    if digits - 3 > limit:
+        raise _digit_limit_error()
 
 
 class KTypeLabel(Value):
@@ -194,28 +225,36 @@ def distinguishing_chain(
     (b) height and signature: the pair reaches (0, psi) on SO(M,1) through
         the admissible one-step moves (a small table over (N, h, sig)).
 
-    The search returns None at once when ``big`` fails the test; otherwise
-    it takes at each level the first feasible target of ``branch_enumerate``
-    (lexicographically largest weight first), so the witness is the
-    lexicographically first chain and the cost is O((N - M) x branching).
-    A chain certifies stepwise nonvanishing of each factor, not of the
-    composed functional.
+    The search returns None at once when ``big`` fails the test.  Otherwise
+    each node is built from a formula, with t' the steps left after it and
+    r the subgroup rank: its weight keeps the first min(t', r) entries of
+    the parent's (min(t', r - 1) on an odd subgroup, whose last entry must
+    be 0) and is 0 after them, and its (height, signature) is the first
+    pair of ``branch_states`` that still reaches (0, psi) in t' steps.
+    That is the first feasible target ``branch_enumerate`` would yield
+    (weights lexicographically decreasing, states inner), so the witness is
+    the lexicographically first chain, and it costs N - M node
+    constructions whatever the entries.  A chain certifies stepwise
+    nonvanishing of each factor, not of the composed functional.
     """
     if psi is Signature.BOTH:
         raise BadTargetError("psi must be a definite sign")
     if target.N > big.group.N:
         raise BadTargetError(f"{target} is not a subgroup of {big.group}")
     good = _chain_states(big.group.N, big.height, target.N, psi)
-
-    def feasible(node: EnhancedParam) -> bool:
-        steps = node.group.N - target.N
-        return not any(node.s.entries[steps:]) and (node.height, node.sig) in good[steps]
-
-    if not feasible(big):
+    steps = big.group.N - target.N
+    if any(big.s.entries[steps:]) or (big.height, big.sig) not in good[steps]:
         return None
     chain = [big]
-    while chain[-1].group.N > target.N:
-        chain.append(next(nxt for nxt in branch_enumerate(chain[-1]) if feasible(nxt)))
+    for left in range(steps - 1, -1, -1):
+        node = chain[-1]
+        sub = node.group.subgroup
+        keep = min(left, sub.rank if sub.is_even else sub.rank - 1)
+        nu = Weight(node.s.entries[:keep] + (0,) * (sub.rank - keep))
+        h, sig = next(
+            state for state in branch_states(sub, node.height, node.sig) if state in good[left]
+        )
+        chain.append(EnhancedParam(sub, nu, h, sig))
     return chain
 
 

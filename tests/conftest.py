@@ -180,6 +180,26 @@ def reference_chain(big, target, psi):
     return None if found is None else list(found)
 
 
+def reference_greedy_chain(big, target, psi):
+    """The greedy descent that ``distinguishing_chain`` replaced with a
+    closed-form node, kept as its reference: the same feasibility test, then
+    at each level the first feasible target of ``branch_enumerate``."""
+    from sobranch.periods import _chain_states
+
+    good = _chain_states(big.group.N, big.height, target.N, psi)
+
+    def feasible(node):
+        steps = node.group.N - target.N
+        return not any(node.s.entries[steps:]) and (node.height, node.sig) in good[steps]
+
+    if not feasible(big):
+        return None
+    chain = [big]
+    while chain[-1].group.N > target.N:
+        chain.append(next(nxt for nxt in branch_enumerate(chain[-1]) if feasible(nxt)))
+    return chain
+
+
 def reference_chi_twist(bounds):
     """The per-pair chi-twist loop that ``oracle._suite_chi_twist`` replaced,
     kept as its reference: two engine calls per case.  ``multiplicity`` and

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,40 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--group", "SO(5,1)"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period", "--n", "113", "--i", "56"],
+            ["period", "--n", "113", "--i", "56", "--table"],
+            ["classify", "--group", "SO(5,1)", "--weight", "1,1,0"],
+            ["classify", "--group", "SO(5,1)", "--weight", "1,1,0", "--table"],
+        ],
+        ids=" ".join,
+    )
+    def test_closed_stdout_is_0_without_traceback(self, argv):
+        # The reader stops at once, as under ``| head -c 1``: a long output
+        # fails inside print, a short one in the flush that ends the call.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sobranch.cli", *argv],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 0, err
+        assert err == b""  # no traceback, nothing at all
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_over_limit_period_refused_before_computing(self, capsys):
+        # Forming this value took about 2 s before the call could refuse it.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--n", "2000", "--i", "1000")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: period value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of Python's int-to-string conversion\n"
+        )
 
     def test_wall_parameter_is_3(self, capsys):
         code, _, _ = run_cli(

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import time
@@ -21,9 +22,9 @@ from sobranch import (
 )
 from sobranch.errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
-from sobranch.periods import PeriodValue
+from sobranch.periods import PeriodValue, check_period_digits
 
-from conftest import period_formula, reference_chain, src_env
+from conftest import period_formula, reference_chain, reference_greedy_chain, src_env
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -172,6 +173,42 @@ class TestDistinguishingChain:
                         cases += 1
         assert cases == 6484
 
+    def test_matches_reference_greedy(self):
+        # Every parameter with N <= 11 and entries <= 3, every smaller
+        # target, both signs: same answer and same witness as the descent
+        # that took the first feasible target of branch_enumerate per level.
+        cases = found = 0
+        for N in range(3, 12):
+            for e in grid_enhanced(GroupTag(N), 3):
+                for target in map(GroupTag, range(2, N)):
+                    for psi in (P, M):
+                        expected = reference_greedy_chain(e, target, psi)
+                        assert distinguishing_chain(e, target, psi) == expected, (e, target, psi)
+                        cases += 1
+                        found += expected is not None
+        assert (cases, found) == (33944, 13924)
+
+    @pytest.mark.parametrize(
+        "e, target, expected",
+        [
+            (E(5, (10**6, 10**6, 0), 0, P), 3,
+             [E(5, (10**6, 10**6, 0), 0, P), E(4, (10**6, 0), 0, P), E(3, (0, 0), 0, P)]),
+            (E(21, tuple(10**5 - k for k in range(10)) + (0,), 1, P), 2, None),
+        ],
+    )
+    def test_entry_size_does_not_cost(self, e, target, expected):
+        # A found chain is N - M node constructions whatever its entries; the
+        # descent through branch_enumerate took seconds on both cases.
+        start = time.perf_counter()
+        chain = distinguishing_chain(e, GroupTag(target), P)
+        assert time.perf_counter() - start < 0.5
+        assert len(chain) == e.group.N - target + 1
+        if expected is not None:
+            assert chain == expected
+        for a, b in zip(chain, chain[1:]):
+            assert multiplicity(a, b) == 1
+        assert chain[-1] == EnhancedParam(GroupTag(target), zero_weight(GroupTag(target).rank), 0, P)
+
     def test_state_table_cached_and_immutable(self):
         # The (height, signature) table depends only on plain values, so
         # one object serves every chain with the same (N, height, M, psi).
@@ -265,6 +302,21 @@ class TestPeriodValue:
             for render in (v.pretty, v.to_json):
                 with pytest.raises(OutOfRangeError, match=f"more than {limit} digits"):
                     render()
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_digit_bound_refuses_only_unwritable_values(self):
+        # Around the first values past the limit (n = 114), the early check
+        # refuses a value only when writing it out fails as well.
+        refused = 0
+        for n in range(100, 131):
+            for i in range(n + 1):
+                try:
+                    check_period_digits(n, i)
+                except OutOfRangeError as exc:
+                    refused += 1
+                    with pytest.raises(OutOfRangeError, match=re.escape(str(exc))):
+                        period_value(n, i).to_json()
+        assert refused > 0
 
     def test_json(self):
         assert period_value(3, 3).to_json() == {
