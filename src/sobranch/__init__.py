@@ -33,7 +33,7 @@ _EXPORTS = {
             "infinitesimal_character langlands_from_enhanced signature standard_sequence "
             "twist_chi_minus",
     "branching": "Arrow FiniteDimComponent branch_enumerate finite_dim_branch "
-                 "gp_tempered_check multiplicity render_diagram sb_diagram",
+                 "gp_tempered_check multiplicity multiplicity_rows render_diagram sb_diagram",
     "periods": "AqDescriptor KTypeLabel PeriodValue distinguished_subgroup "
                "distinguishing_chain is_aq_lambda minimal_k_type_trivial_rho period_value",
     "cohomology": "PairingDescriptor bilinear_gate bilinear_nonzero_trivial_rho "

@@ -4,13 +4,18 @@ The multiplicity of one irreducible in the restriction of another is always
 0 or 1, and equals 1 exactly when three conditions hold on the enhanced
 parameters: equal signatures (with the discrete-series wildcard matching
 either sign), the target height drops by at most one, and the theta-weights
-interlace.  Everything else in this module (enumeration, diagrams, the
-tempered pairing check) is derived from that single decision procedure.
+interlace.  The rule factors into a test on the (height, signature) states,
+``_states_match``, times a test on the theta-weights, ``interlaces``.
+``multiplicity`` applies both to one pair; ``multiplicity_rows`` decides a
+row of pairs by tabulating each test once per distinct state and distinct
+weight and reading the product of the two tables.  Everything else in this
+module (enumeration, diagrams, the tempered pairing check) is derived from
+that single decision procedure.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     GroupMismatchError,
@@ -86,6 +91,17 @@ def finite_dim_branch(
     return out
 
 
+def _states_match(height: int, sig: Signature, sub_height: int, sub_sig: Signature) -> bool:
+    """The (height, signature) half of the rule: the signatures match (BOTH
+    is a wildcard) and the height drops by 0 or 1."""
+    d = height - sub_height
+    return (d == 0 or d == 1) and sig.matches(sub_sig)
+
+
+def _mismatch_error(big: EnhancedParam, small: EnhancedParam) -> GroupMismatchError:
+    return GroupMismatchError(f"{small.group} is not the rank-one subgroup of {big.group}")
+
+
 def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
     """Multiplicity (0 or 1) of ``small`` in the restriction of ``big``.
 
@@ -93,15 +109,47 @@ def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
     by 0 or 1, and the theta-weights interlace.
     """
     if small.group.N != big.group.N - 1:
-        raise GroupMismatchError(
-            f"{small.group} is not the rank-one subgroup of {big.group}"
-        )
-    if not big.sig.matches(small.sig):
-        return 0
-    d = big.height - small.height
-    if d != 0 and d != 1:
+        raise _mismatch_error(big, small)
+    if not _states_match(big.height, big.sig, small.height, small.sig):
         return 0
     return 1 if interlaces(big.s, small.s) else 0
+
+
+def multiplicity_rows(
+    bigs: Iterable[EnhancedParam], smalls: Iterable[EnhancedParam]
+) -> Iterator[list[int]]:
+    """Yield ``[multiplicity(big, q) for q in smalls]`` for each big, in order.
+
+    The smalls are indexed once by their distinct (height, signature) states
+    and distinct theta-weights, so each small is one cell of a state-by-weight
+    table.  Per big, ``_states_match`` decides each state and ``interlaces``
+    each weight (only when the big's weight changes); the table is the
+    product of the two, and the row reads it at each small's cell.  A small
+    outside the big's rank-one subgroup raises ``multiplicity``'s
+    ``GroupMismatchError``, naming the first such small.
+    """
+    smalls = list(smalls)
+    states: dict[tuple[int, Signature], int] = {}
+    weights: dict[Weight, int] = {}
+    firsts: dict[GroupTag, EnhancedParam] = {}  # the first small of each group
+    for q in smalls:
+        states.setdefault((q.height, q.sig), len(states))
+        weights.setdefault(q.s, len(weights))
+        firsts.setdefault(q.group, q)
+    cell_of = [states[q.height, q.sig] * len(weights) + weights[q.s] for q in smalls]
+    zeros = [0] * len(weights)
+    s = inter = None
+    for big in bigs:
+        for q in firsts.values():
+            if q.group.N != big.group.N - 1:
+                raise _mismatch_error(big, q)
+        if big.s != s:
+            s = big.s
+            inter = [1 if interlaces(s, nu) else 0 for nu in weights]
+        table: list[int] = []
+        for h, sig in states:
+            table += inter if _states_match(big.height, big.sig, h, sig) else zeros
+        yield list(map(table.__getitem__, cell_of))
 
 
 def branch_states(
@@ -214,7 +262,5 @@ def gp_tempered_check(big: TemperedPS, small: DiscreteSeries) -> bool:
     if not isinstance(small, DiscreteSeries):
         raise NotTemperedError(f"expected a discrete series, got {small!r}")
     if small.group.N != big.group.N - 1:
-        raise GroupMismatchError(
-            f"{small.group} is not the rank-one subgroup of {big.group}"
-        )
+        raise _mismatch_error(big, small)
     return multiplicity(enhanced_from_langlands(big), enhanced_from_langlands(small)) == 1

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, Sequence
 
 from . import SUITE_NAMES
-from .branching import multiplicity, sb_diagram
+from .branching import multiplicity, multiplicity_rows, sb_diagram
 from .errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from .reps import (
     EnhancedParam,
@@ -215,13 +215,14 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
     """Twisting both sides by chi_- leaves every multiplicity unchanged.
 
     ``twist_chi_minus`` maps the grid onto itself, so the twisted pair is
-    another case of the same grid: each engine value is computed once, as
-    the row ``multiplicity(big, q)`` over the small grid, and compared with
-    its twin, the entry of the twisted small parameter in the twisted big
-    parameter's row.  A row is kept until it has served both as a row and
-    as a twin row, so only the current twist pair's rows are held.  A
-    twisted parameter outside the grid (an engine bug) is evaluated
-    directly.
+    another case of the same grid: the engine's rows over the small grid,
+    from ``multiplicity_rows``, are read once each in grid order, and each
+    big parameter's row is compared with its twin, the row of the twisted
+    big parameter read at the twisted small parameters.  A row is held only
+    until every row it is compared with has arrived; on the grid the twins
+    (h, +) and (h, -) are adjacent, so that is at most one row.  A twisted
+    parameter outside the grid (an engine bug) is evaluated directly.
+    Failures are listed in big-parameter order.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
@@ -232,39 +233,44 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
         twisted_small = [twist_chi_minus(p) for p in small_params]
         position = {p: i for i, p in enumerate(small_params)}
         twin = [position.get(t) for t in twisted_small]
+        permuted = None not in twin
         twisted_big = [twist_chi_minus(p) for p in big_params]
-        uses = dict.fromkeys(big_params, 1)  # once as a row, once per twin
-        for t in twisted_big:
-            if t in uses:
-                uses[t] += 1
-        held: dict[EnhancedParam, list[int]] = {}
+        big_position = {p: i for i, p in enumerate(big_params)}
+        big_twin = [big_position.get(t) for t in twisted_big]
+        uses = [1] * len(big_params)  # once as a row, once per twin
+        for j in big_twin:
+            if j is not None:
+                uses[j] += 1
+        held: dict[int, list[int]] = {}
 
-        def row_of(p: EnhancedParam) -> list[int]:
-            row = held.pop(p, None)
-            if row is None:
-                row = [multiplicity(p, q) for q in small_params]
-            uses[p] -= 1
-            if uses[p]:
-                held[p] = row
-            return row
+        def take(i: int) -> list[int]:
+            uses[i] -= 1
+            return held[i] if uses[i] else held.pop(i)
 
-        for big, tbig in zip(big_params, twisted_big):
-            row = row_of(big)
-            twin_row = row_of(tbig) if tbig in uses else None
-            if twin_row is None:
-                twisted = [multiplicity(tbig, t) for t in twisted_small]
-            else:
-                twisted = [
-                    multiplicity(tbig, t) if j is None else twin_row[j]
-                    for t, j in zip(twisted_small, twin)
-                ]
-            cases += len(row)
-            if row != twisted:
-                failures.extend(
-                    {"big": repr(big), "small": repr(small)}
-                    for small, m, tm in zip(small_params, row, twisted)
-                    if m != tm
-                )
+        done = 0  # big parameters compared so far
+        for i, row in enumerate(multiplicity_rows(big_params, small_params)):
+            held[i] = row
+            while done <= i and (big_twin[done] is None or big_twin[done] <= i):
+                big, tbig, j = big_params[done], twisted_big[done], big_twin[done]
+                own = take(done)
+                if j is None:
+                    twisted = [multiplicity(tbig, t) for t in twisted_small]
+                elif permuted:
+                    twisted = list(map(take(j).__getitem__, twin))
+                else:
+                    trow = take(j)
+                    twisted = [
+                        multiplicity(tbig, t) if k is None else trow[k]
+                        for t, k in zip(twisted_small, twin)
+                    ]
+                cases += len(own)
+                if own != twisted:
+                    failures.extend(
+                        {"big": repr(big), "small": repr(small)}
+                        for small, m, tm in zip(small_params, own, twisted)
+                        if m != tm
+                    )
+                done += 1
     return cases, failures
 
 

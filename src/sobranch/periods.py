@@ -117,14 +117,17 @@ def _digit_limit_error() -> OutOfRangeError:
 
 def check_period_digits(n: int, i: int) -> None:
     """Raise the error ``_decimal`` would raise on ``period_value(n, i)``
-    when a lower bound on the digits of its reduced denominator already
-    passes the limit, before any factorial is formed.
+    when a lower bound on the digits of its reduced numerator or denominator
+    already passes the limit, before any factorial is formed.
 
-    The bound is log10 of ((n-i)!)^(i-1) (n-2i)! below the middle and of
-    ((n-i)!)^(i-1) / (2i-n-1)! at or above it (the reduction divides by at
-    most the numerator), from ``math.lgamma``; a margin of a few digits
-    absorbs its rounding, so no value that can be written is refused.
-    Arguments ``period_value`` rejects are left to it.
+    Below the middle (2i < n+1) the value is 1 / (((n-i)!)^(i-1) (n-2i)!).
+    At or above it, it is (2i-n-1)! / ((n-i)!)^(i-1), and the reduction
+    divides the numerator and the denominator by the same factor, at most
+    the smaller of the two; so the reduced denominator is at least their
+    quotient, and the reduced numerator at least its inverse.  The bounds
+    are logs from ``math.lgamma``; a margin of a few digits absorbs their
+    rounding, so no value that can be written is refused.  Arguments
+    ``period_value`` rejects are left to it.
     """
     limit = sys.get_int_max_str_digits()
     if limit == 0 or not 0 <= i <= n:
@@ -133,12 +136,13 @@ def check_period_digits(n: int, i: int) -> None:
     def log10_factorial(k: int) -> float:
         return math.lgamma(k + 1) / math.log(10)
 
+    # log10 of the unreduced denominator over the unreduced numerator
     digits = (i - 1) * log10_factorial(n - i)
     if 2 * i < n + 1:
         digits += log10_factorial(n - 2 * i)
     else:
         digits -= log10_factorial(2 * i - n - 1)
-    if digits - 3 > limit:
+    if abs(digits) - 3 > limit:
         raise _digit_limit_error()
 
 
@@ -272,13 +276,15 @@ def period_value(n: int, i: int) -> PeriodValue:
         raise OutOfRangeError(f"period_value needs n >= 1 (SO(n+1,1)), got n={n}")
     from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
 
+    if i == 0:  # ((n-i)!)^(1-i) / (n-2i)! is n!/n!: no factorial to form
+        return PeriodValue(1, Fraction(1), 0)
     quarters = i * (2 * n - i - 1)
     # integer numerator and denominator, reduced once by Fraction
-    num, den = (math.factorial(n), 1) if i == 0 else (1, math.factorial(n - i) ** (i - 1))
+    den = math.factorial(n - i) ** (i - 1)
     if 2 * i < n + 1:
-        return PeriodValue(1, Fraction(num, den * math.factorial(n - 2 * i)), quarters)
+        return PeriodValue(1, Fraction(1, den * math.factorial(n - 2 * i)), quarters)
     sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    return PeriodValue(sign, Fraction(num * math.factorial(2 * i - n - 1), den), quarters)
+    return PeriodValue(sign, Fraction(math.factorial(2 * i - n - 1), den), quarters)
 
 
 def minimal_k_type_trivial_rho(n: int, i: int) -> KTypeLabel:

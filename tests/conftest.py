@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
 from pathlib import Path
@@ -49,6 +50,25 @@ def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, 
         if ok:
             out.append(nu)
     return out
+
+
+@lru_cache(maxsize=None)
+def _brute_interlacing_set(mu: tuple[int, ...], target_rank: int) -> frozenset:
+    return frozenset(brute_interlacing(mu, target_rank))
+
+
+def reference_multiplicity(big, small) -> int:
+    """The three-condition rule written out directly: signatures equal or
+    one of them the wildcard, height drop 0 or 1, and the weights interlace
+    (by raw filtering)."""
+    if small.group.N != big.group.N - 1:
+        raise GroupMismatchError(f"{small.group} is not the rank-one subgroup of {big.group}")
+    both = Signature.BOTH
+    return int(
+        (big.sig == small.sig or both in (big.sig, small.sig))
+        and big.height - small.height in (0, 1)
+        and small.s.entries in _brute_interlacing_set(big.s.entries, small.group.rank)
+    )
 
 
 def so3_dim(a: int) -> int:
@@ -203,8 +223,10 @@ def reference_greedy_chain(big, target, psi):
 def reference_chi_twist(bounds):
     """The per-pair chi-twist loop that ``oracle._suite_chi_twist`` replaced,
     kept as its reference: two engine calls per case.  ``multiplicity`` and
-    ``twist_chi_minus`` are read from ``sobranch.oracle`` at call time, so a
-    monkeypatched engine reaches the reference and the suite alike."""
+    ``twist_chi_minus`` are read from ``sobranch.oracle`` at call time, and
+    ``multiplicity`` and the suite's ``multiplicity_rows`` both decide the
+    states with ``branching._states_match``, so a monkeypatched twist or
+    state rule reaches the reference and the suite alike."""
     from sobranch import oracle
 
     max_group = int(bounds.get("max_group", 11))

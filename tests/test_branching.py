@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,15 +21,20 @@ from sobranch import (
     twist_chi_minus,
     zero_weight,
 )
-from sobranch.branching import diagram_to_json
+from sobranch.branching import diagram_to_json, multiplicity_rows
 from sobranch.errors import (
     GroupMismatchError,
     NotInterlacingError,
     NotTemperedError,
 )
 from sobranch.oracle import grid_enhanced, grid_weights
+from sobranch.reps import enhanced_params
 
-from conftest import brute_interlacing, reference_standard_sequence, theta_weights
+from conftest import (
+    reference_multiplicity,
+    reference_standard_sequence,
+    theta_weights,
+)
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -97,8 +104,7 @@ class TestMultiplicity:
 
     def test_matches_three_condition_spec(self):
         # Every pair with N <= 7 and entries <= 2, against the rule written
-        # out directly: signatures equal or one of them the wildcard, height
-        # drop 0 or 1, and the weights interlace (by raw filtering).
+        # out directly (``conftest.reference_multiplicity``).
         def params(group):
             top = group.top_height
             for s in theta_weights(group, 2):
@@ -111,14 +117,92 @@ class TestMultiplicity:
             group, sub = GroupTag(N), GroupTag(N - 1)
             smalls = list(params(sub))
             for big in params(group):
-                below = set(brute_interlacing(big.s.entries, sub.rank))
                 for small in smalls:
-                    expected = (
-                        (big.sig == small.sig or B in (big.sig, small.sig))
-                        and big.height - small.height in (0, 1)
-                        and small.s.entries in below
+                    assert multiplicity(big, small) == reference_multiplicity(big, small), (
+                        big, small,
                     )
-                    assert multiplicity(big, small) == int(expected), (big, small)
+
+
+class TestMultiplicityRows:
+    """``multiplicity_rows`` against per-pair ``multiplicity`` and the rule
+    written out directly."""
+
+    @staticmethod
+    def per_pair(bigs, smalls):
+        return [[multiplicity(big, q) for q in smalls] for big in bigs]
+
+    def check(self, bigs, smalls):
+        rows = list(multiplicity_rows(iter(bigs), iter(smalls)))
+        assert rows == self.per_pair(bigs, smalls)
+        assert rows == [[reference_multiplicity(big, q) for q in smalls] for big in bigs]
+        assert all(type(m) is int for row in rows for m in row)
+        return rows
+
+    def test_grid(self):
+        for N in range(3, 10):
+            bigs = grid_enhanced(GroupTag(N), 3)
+            rows = self.check(bigs, grid_enhanced(GroupTag(N - 1), 3))
+            assert len(rows) == len(bigs)
+            assert any(1 in row for row in rows) and any(0 in row for row in rows)
+
+    def test_shuffled_and_duplicated(self):
+        rng = random.Random(11)
+        for N in range(3, 8):
+            bigs = grid_enhanced(GroupTag(N), 2)
+            smalls = grid_enhanced(GroupTag(N - 1), 2)
+            smalls = smalls + rng.sample(smalls, len(smalls) // 2) + smalls[:3]
+            rng.shuffle(smalls)
+            rng.shuffle(bigs)
+            self.check(bigs, smalls)
+
+    def test_equal_weights_in_distinct_objects(self):
+        def copied(e):
+            return EnhancedParam(e.group, Weight(tuple(list(e.s.entries))), e.height, e.sig)
+
+        for N in range(3, 8):
+            bigs = [copied(e) for e in grid_enhanced(GroupTag(N), 2)]
+            smalls = [copied(e) for e in grid_enhanced(GroupTag(N - 1), 2)]
+            assert bigs[0].s == bigs[1].s and bigs[0].s is not bigs[1].s
+            self.check(bigs, smalls + [copied(e) for e in smalls])
+
+    def test_bigs_alternating_between_weights(self):
+        for N in range(3, 8):
+            group = GroupTag(N)
+            per_weight = [list(enhanced_params(group, s)) for s in grid_weights(group, 2)]
+            for a, b in zip(per_weight, per_weight[1:]):
+                alternating = [e for pair in zip(a, b, a) for e in pair]
+                self.check(alternating, grid_enhanced(group.subgroup, 2))
+
+    def test_empty(self):
+        bigs = grid_enhanced(GroupTag(5), 1)
+        assert list(multiplicity_rows(bigs, [])) == [[] for _ in bigs]
+        assert list(multiplicity_rows([], grid_enhanced(GroupTag(4), 1))) == []
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_wrong_group_small(self, where):
+        big = E(5, (1, 1, 0), 1, P)
+        smalls = grid_enhanced(GroupTag(4), 1)
+        k = {"first": 0, "middle": len(smalls) // 2, "last": len(smalls)}[where]
+        smalls = smalls[:k] + [E(3, (1, 0), 0, M)] + smalls[k:]
+        if where != "last":
+            smalls.append(E(5, (0, 0, 0), 0, P))  # a later mismatch is not named
+        with pytest.raises(GroupMismatchError) as expected:
+            self.per_pair([big], smalls)
+        with pytest.raises(GroupMismatchError) as got:
+            list(multiplicity_rows([big], smalls))
+        assert str(got.value) == str(expected.value) == (
+            "SO(3,1) is not the rank-one subgroup of SO(5,1)"
+        )
+
+    def test_rows_before_a_wrong_big(self):
+        smalls = grid_enhanced(GroupTag(4), 1)
+        bigs = grid_enhanced(GroupTag(5), 1)
+        rows = multiplicity_rows(bigs + [E(6, (0, 0, 0), 0, P)], smalls)
+        for big in bigs:
+            assert next(rows) == [multiplicity(big, q) for q in smalls]
+        with pytest.raises(GroupMismatchError) as got:
+            next(rows)
+        assert str(got.value) == "SO(4,1) is not the rank-one subgroup of SO(6,1)"
 
 
 class TestBranchEnumerate:

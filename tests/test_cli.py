@@ -379,6 +379,25 @@ class TestExitCodes:
             "the limit of Python's int-to-string conversion\n"
         )
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_over_limit_period_numerator_refused_before_computing(self, capsys):
+        # At 2i >= n+1 the numerator is (2i-n-1)!; this one is 299999!.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--n", "300000", "--i", "300000")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: period value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of Python's int-to-string conversion\n"
+        )
+
+    def test_period_at_height_zero_is_immediate(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pretty"] == "1"
+
     def test_wall_parameter_is_3(self, capsys):
         code, _, _ = run_cli(
             capsys, "convert", "--group", "SO(5,1)",
@@ -581,6 +600,20 @@ class TestUsageText:
     @pytest.mark.parametrize("call", GOLDEN["calls"], ids=lambda c: " ".join(c["argv"]) or "-")
     def test_matches_golden(self, call, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
+        assert run_in_process(call["argv"]) == (call["exit"], call["stdout"], call["stderr"])
+
+
+SELFTEST_GOLDEN = json.loads(
+    Path(__file__).with_name("selftest_golden.json").read_text(encoding="utf-8")
+)
+
+
+class TestSelftestGolden:
+    """Default ``selftest`` stdout, JSON and ``--table``, byte for byte:
+    suite names, order, case counts and rendering."""
+
+    @pytest.mark.parametrize("call", SELFTEST_GOLDEN["calls"], ids=lambda c: " ".join(c["argv"]))
+    def test_matches_golden(self, call):
         assert run_in_process(call["argv"]) == (call["exit"], call["stdout"], call["stderr"])
 
 

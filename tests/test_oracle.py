@@ -1,5 +1,6 @@
 import pytest
 
+import sobranch.branching as branching
 import sobranch.oracle as oracle
 from sobranch import (
     EnhancedParam,
@@ -11,7 +12,7 @@ from sobranch import (
     run_suite,
     weyl_dim,
 )
-from sobranch.branching import finite_dim_branch, multiplicity
+from sobranch.branching import finite_dim_branch, multiplicity_rows
 from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
 from sobranch.reps import twist_chi_minus
@@ -175,9 +176,13 @@ class TestSuites:
         assert data["cases_run"] == report.cases_run
 
 
-def _plus_always_one(big, small):
-    """An engine that breaks twist invariance: every PLUS row is all ones."""
-    return 1 if big.sig is Signature.PLUS else multiplicity(big, small)
+_engine_states_match = branching._states_match
+
+
+def _plus_matches_every_state(height, sig, sub_height, sub_sig):
+    """An engine that breaks twist invariance: a PLUS parameter passes the
+    (height, signature) test against every state."""
+    return sig is Signature.PLUS or _engine_states_match(height, sig, sub_height, sub_sig)
 
 
 def _twist_leaving_grid(e):
@@ -193,30 +198,43 @@ class TestChiTwistDifferential:
     BOUNDS = {"max_group": 7, "max_entry": 2}
 
     @pytest.mark.parametrize(
-        "patch, broken",
+        "module, name, fn, broken",
         [
-            ({}, False),
-            ({"multiplicity": _plus_always_one}, True),
-            ({"twist_chi_minus": _twist_leaving_grid}, True),
+            (None, None, None, False),
+            (branching, "_states_match", _plus_matches_every_state, True),
+            (oracle, "twist_chi_minus", _twist_leaving_grid, True),
         ],
         ids=["engine", "broken-multiplicity", "twist-leaves-grid"],
     )
-    def test_matches_per_pair_reference(self, monkeypatch, patch, broken):
-        for name, fn in patch.items():
-            monkeypatch.setattr(oracle, name, fn)
+    def test_matches_per_pair_reference(self, monkeypatch, module, name, fn, broken):
+        if module is not None:
+            monkeypatch.setattr(module, name, fn)
         cases, failures = oracle._suite_chi_twist(self.BOUNDS)
         assert (cases, failures) == reference_chi_twist(self.BOUNDS)
         assert cases > 0
         assert bool(failures) is broken
 
     def test_each_case_evaluated_once(self, monkeypatch):
-        calls = []
+        # Each case is one entry of one row, and each big row is produced once.
+        produced = []
 
-        def counted(big, small):
-            calls.append(None)
-            return multiplicity(big, small)
+        def recorded(bigs, smalls):
+            bigs = list(bigs)
+            for big, row in zip(bigs, multiplicity_rows(bigs, smalls)):
+                produced.append((big, len(row)))
+                yield row
 
-        monkeypatch.setattr(oracle, "multiplicity", counted)
+        def per_pair(big, small):
+            raise AssertionError("a grid case was evaluated outside the rows")
+
+        monkeypatch.setattr(oracle, "multiplicity_rows", recorded)
+        monkeypatch.setattr(oracle, "multiplicity", per_pair)
         cases, failures = oracle._suite_chi_twist(self.BOUNDS)
         assert not failures
-        assert len(calls) == cases
+        grid = [
+            e
+            for N in range(3, self.BOUNDS["max_group"] + 1)
+            for e in oracle.grid_enhanced(GroupTag(N), self.BOUNDS["max_entry"])
+        ]
+        assert [big for big, _ in produced] == grid
+        assert sum(n for _, n in produced) == cases

@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 import subprocess
 import sys
@@ -237,6 +239,12 @@ class TestPeriodValue:
             assert (v.sign, v.rational, v.pi_quarters) == (1, 1, 0)
             assert v.pretty() == "1"
 
+    def test_unit_at_height_zero_is_immediate(self):
+        # Forming n! twice took about 20 s here before the value 1 came back.
+        start = time.perf_counter()
+        assert period_value(10**6, 0) == PeriodValue(1, Fraction(1), 0)
+        assert time.perf_counter() - start < 0.5
+
     def test_examples(self):
         v = period_value(2, 1)
         assert (v.sign, v.rational, v.pi_quarters) == (1, Fraction(1), 2)
@@ -306,17 +314,31 @@ class TestPeriodValue:
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
     def test_digit_bound_refuses_only_unwritable_values(self):
         # Around the first values past the limit (n = 114), the early check
-        # refuses a value only when writing it out fails as well.
-        refused = 0
-        for n in range(100, 131):
-            for i in range(n + 1):
-                try:
-                    check_period_digits(n, i)
-                except OutOfRangeError as exc:
-                    refused += 1
-                    with pytest.raises(OutOfRangeError, match=re.escape(str(exc))):
-                        period_value(n, i).to_json()
-        assert refused > 0
+        # refuses a value only when writing it out fails as well.  At or
+        # above the middle the numerator (2i-n-1)! passes the limit first
+        # near i = n, where (n-1)! does; the second sweep covers that edge.
+        limit = sys.get_int_max_str_digits()
+        edge = next(n for n in itertools.count(2) if math.lgamma(n) / math.log(10) > limit)
+        sweep = [(n, i) for n in range(100, 131) for i in range(n + 1)]
+        sweep += [(n, i) for n in range(edge - 15, edge + 16) for i in range(n - 3, n + 1)]
+        refused = set()
+        for n, i in sweep:
+            try:
+                check_period_digits(n, i)
+            except OutOfRangeError as exc:
+                refused.add((n, i))
+                with pytest.raises(OutOfRangeError, match=re.escape(str(exc))):
+                    period_value(n, i).to_json()
+        assert any(2 * i < n + 1 for n, i in refused)
+        assert (edge + 15, edge + 15) in refused and (edge - 15, edge - 15) not in refused
+
+    def test_numerator_bound_refuses_before_forming_it(self):
+        # period_value(300000, 300000) is 299999!, formed in about 1.6 s
+        # before writing it failed.
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError, match="digits"):
+            check_period_digits(300000, 300000)
+        assert time.perf_counter() - start < 0.5
 
     def test_json(self):
         assert period_value(3, 3).to_json() == {
