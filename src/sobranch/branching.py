@@ -121,12 +121,17 @@ def multiplicity_rows(
     """Yield ``[multiplicity(big, q) for q in smalls]`` for each big, in order.
 
     The smalls are indexed once by their distinct (height, signature) states
-    and distinct theta-weights, so each small is one cell of a state-by-weight
-    table.  Per big, ``_states_match`` decides each state and ``interlaces``
-    each weight (only when the big's weight changes); the table is the
-    product of the two, and the row reads it at each small's cell.  A small
-    outside the big's rank-one subgroup raises ``multiplicity``'s
-    ``GroupMismatchError``, naming the first such small.
+    and distinct theta-weights.  Per big, ``_states_match`` decides each
+    state and ``interlaces`` each weight (only when the big's weight
+    changes), and the product of the two is laid out weight-major: the cell
+    of weight w and state k is w * S + k, for S states, built as one block
+    of S state decisions (or zeros) per weight.  When the smalls are exactly
+    that product in that order, every weight with the same states in the
+    same order (as ``oracle.grid_enhanced`` lists them), the fresh table is
+    the row; any other order, repeat or subset of smalls reads the row from
+    the table at each small's cell.  A small outside the big's rank-one
+    subgroup raises ``multiplicity``'s ``GroupMismatchError``, naming the
+    first such small.
     """
     smalls = list(smalls)
     states: dict[tuple[int, Signature], int] = {}
@@ -136,8 +141,9 @@ def multiplicity_rows(
         states.setdefault((q.height, q.sig), len(states))
         weights.setdefault(q.s, len(weights))
         firsts.setdefault(q.group, q)
-    cell_of = [states[q.height, q.sig] * len(weights) + weights[q.s] for q in smalls]
-    zeros = [0] * len(weights)
+    cell_of = [weights[q.s] * len(states) + states[q.height, q.sig] for q in smalls]
+    in_order = cell_of == list(range(len(weights) * len(states)))
+    zeros = [0] * len(states)
     s = inter = None
     for big in bigs:
         for q in firsts.values():
@@ -145,11 +151,12 @@ def multiplicity_rows(
                 raise _mismatch_error(big, q)
         if big.s != s:
             s = big.s
-            inter = [1 if interlaces(s, nu) else 0 for nu in weights]
+            inter = [interlaces(s, nu) for nu in weights]
+        match = [1 if _states_match(big.height, big.sig, h, sig) else 0 for h, sig in states]
         table: list[int] = []
-        for h, sig in states:
-            table += inter if _states_match(big.height, big.sig, h, sig) else zeros
-        yield list(map(table.__getitem__, cell_of))
+        for ok in inter:
+            table += match if ok else zeros
+        yield table if in_order else list(map(table.__getitem__, cell_of))
 
 
 def branch_states(

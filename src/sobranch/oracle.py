@@ -37,22 +37,30 @@ from .weights import GroupTag, Weight, weyl_dim, zero_weight
 class SuiteReport(Value):
     """Outcome of one verification sweep; empty failures means pass.
 
-    Unlike the package's other records a report is mutable, and therefore
+    ``failures`` holds the first counterexamples a suite kept (at most
+    ``KEPT_FAILURES``) and ``failures_total`` counts all of them.  Unlike
+    the package's other records a report is mutable, and therefore
     unhashable.
     """
 
-    __slots__ = ("suite", "cases_run", "failures", "elapsed")
+    __slots__ = ("suite", "cases_run", "failures", "elapsed", "failures_total")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
-        self, suite: str, cases_run: int, failures: list | None = None, elapsed: float = 0.0
+        self,
+        suite: str,
+        cases_run: int,
+        failures: list | None = None,
+        elapsed: float = 0.0,
+        failures_total: int | None = None,
     ) -> None:
         self.suite = suite
         self.cases_run = cases_run
         self.failures = [] if failures is None else failures
         self.elapsed = elapsed
+        self.failures_total = len(self.failures) if failures_total is None else failures_total
 
     @property
     def passed(self) -> bool:
@@ -60,17 +68,38 @@ class SuiteReport(Value):
 
     def to_json(self) -> dict:
         # elapsed is kept off the wire so that identical inputs give
-        # byte-identical output; it stays available on the object.
-        return {
-            "suite": self.suite,
-            "cases_run": self.cases_run,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        # byte-identical output; it stays available on the object.  Only a
+        # failing report carries the total.
+        data = {"suite": self.suite, "cases_run": self.cases_run, "failures": self.failures}
+        if not self.passed:
+            data["failures_total"] = self.failures_total
+        data["passed"] = self.passed
+        return data
 
     def summary_line(self) -> str:
-        status = "PASS" if self.passed else f"FAIL ({len(self.failures)})"
+        status = "PASS" if self.passed else f"FAIL ({self.failures_total})"
         return f"{self.suite:<22} {self.cases_run:>9} cases  {status}"
+
+
+KEPT_FAILURES = 20
+
+
+class _Failures(list):
+    """A suite's first ``KEPT_FAILURES`` counterexamples; ``total`` counts
+    all of them, so a broken engine costs no memory per failure."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.total = 0
+
+    def append(self, failure: dict) -> None:
+        self.total += 1
+        if len(self) < KEPT_FAILURES:
+            super().append(failure)
+
+    def extend(self, failures) -> None:
+        for failure in failures:
+            self.append(failure)
 
 
 def compact_branch_so(N: int, lam: Sequence[int]) -> list[tuple[int, ...]]:
@@ -139,10 +168,10 @@ def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
     }
 
 
-def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
+def _suite_dim_conservation(bounds: dict) -> tuple[int, _Failures]:
     max_so = bounds["max_so"]
     max_entry = bounds["max_entry"]
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for N in range(2, max_so + 1):
         for mu in so_weights(N, max_entry):
             cases += 1
@@ -153,10 +182,10 @@ def _suite_dim_conservation(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
-def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
+def _suite_roundtrip(bounds: dict) -> tuple[int, _Failures]:
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for N in range(2, max_group + 1):
         group = GroupTag(N)
         for s in grid_weights(group, max_entry):
@@ -170,10 +199,10 @@ def _suite_roundtrip(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
-def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
+def _suite_height_consistency(bounds: dict) -> tuple[int, _Failures]:
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for N in range(2, max_group + 1):
         group = GroupTag(N)
         for s in grid_weights(group, max_entry):
@@ -190,9 +219,9 @@ def _suite_height_consistency(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
-def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, list]:
+def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, _Failures]:
     max_n = bounds["max_n"]
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for n in range(2, max_n + 1):
         group = GroupTag(n + 1)
         sub = group.subgroup
@@ -211,7 +240,7 @@ def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
-def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
+def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     """Twisting both sides by chi_- leaves every multiplicity unchanged.
 
     ``twist_chi_minus`` maps the grid onto itself, so the twisted pair is
@@ -220,13 +249,19 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
     big parameter's row is compared with its twin, the row of the twisted
     big parameter read at the twisted small parameters.  A row is held only
     until every row it is compared with has arrived; on the grid the twins
-    (h, +) and (h, -) are adjacent, so that is at most one row.  A twisted
-    parameter outside the grid (an engine bug) is evaluated directly.
-    Failures are listed in big-parameter order.
+    (h, +) and (h, -) are adjacent, so that is at most one row.
+
+    The grid lists S states per weight, and the twist moves a small only
+    within its block of S, the same way in every block: twin[q] is
+    q - q % S + twin[q % S].  That is checked once per N, and then the twin
+    row is read by S strided slices, twisted[k::S] = trow[twin[k]::S].  A
+    twist that is a permutation of the smalls but not blockwise reads each
+    twin cell by index, and a twisted parameter outside the grid (an engine
+    bug) is evaluated directly.  Failures are listed in big-parameter order.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for N in range(3, max_group + 1):
         big_params = grid_enhanced(GroupTag(N), max_entry)
         small_params = grid_enhanced(GroupTag(N - 1), max_entry)
@@ -234,6 +269,13 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
         position = {p: i for i, p in enumerate(small_params)}
         twin = [position.get(t) for t in twisted_small]
         permuted = None not in twin
+        S = len({(p.height, p.sig) for p in small_params})
+        blockwise = (
+            permuted
+            and S > 0
+            and len(twin) % S == 0
+            and all(t == q - q % S + twin[q % S] for q, t in enumerate(twin))
+        )
         twisted_big = [twist_chi_minus(p) for p in big_params]
         big_position = {p: i for i, p in enumerate(big_params)}
         big_twin = [big_position.get(t) for t in twisted_big]
@@ -255,6 +297,11 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
                 own = take(done)
                 if j is None:
                     twisted = [multiplicity(tbig, t) for t in twisted_small]
+                elif blockwise:
+                    trow = take(j)
+                    twisted = trow[:]
+                    for k in range(S):
+                        twisted[k::S] = trow[twin[k]::S]
                 elif permuted:
                     twisted = list(map(take(j).__getitem__, twin))
                 else:
@@ -274,11 +321,11 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, list]:
     return cases, failures
 
 
-def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
+def _suite_height0_vs_finite(bounds: dict) -> tuple[int, _Failures]:
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     signs = (Signature.PLUS, Signature.MINUS)
-    cases, failures = 0, []
+    cases, failures = 0, _Failures()
     for N in range(3, max_group + 1):
         group = GroupTag(N)
         sub = group.subgroup
@@ -308,7 +355,7 @@ def _suite_height0_vs_finite(bounds: dict) -> tuple[int, list]:
 
 
 # Suite "a-b" runs _suite_a_b; the names and their order are the package's SUITE_NAMES.
-_SUITES: dict[str, Callable[[dict], tuple[int, list]]] = {
+_SUITES: dict[str, Callable[[dict], tuple[int, _Failures]]] = {
     name: globals()["_suite_" + name.replace("-", "_")] for name in SUITE_NAMES
 }
 
@@ -352,7 +399,8 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     bounds = {**defaults[suite], **bounds}
     start = time.perf_counter()
     cases, failures = _SUITES[suite](bounds)
-    return SuiteReport(suite, cases, failures, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    return SuiteReport(suite, cases, list(failures), elapsed, failures.total)
 
 
 def run_all(bounds_map: dict | None = None) -> list[SuiteReport]:

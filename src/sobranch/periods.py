@@ -117,33 +117,55 @@ def _digit_limit_error() -> OutOfRangeError:
 
 def check_period_digits(n: int, i: int) -> None:
     """Raise the error ``_decimal`` would raise on ``period_value(n, i)``
-    when a lower bound on the digits of its reduced numerator or denominator
-    already passes the limit, before any factorial is formed.
+    when its reduced numerator or denominator has more digits than the
+    limit, before any factorial is formed.
 
     Below the middle (2i < n+1) the value is 1 / (((n-i)!)^(i-1) (n-2i)!).
-    At or above it, it is (2i-n-1)! / ((n-i)!)^(i-1), and the reduction
-    divides the numerator and the denominator by the same factor, at most
-    the smaller of the two; so the reduced denominator is at least their
-    quotient, and the reduced numerator at least its inverse.  The bounds
-    are logs from ``math.lgamma``; a margin of a few digits absorbs their
-    rounding, so no value that can be written is refused.  Arguments
-    ``period_value`` rejects are left to it.
+    At or above it, it is a! / (b!)^(i-1) with a = 2i-n-1, b = n-i and
+    i-1 = a+b.  If a <= b, a! divides b!, so the numerator reduces to 1.
+    If a > b, every prime p <= b divides b!, and (i-1) v_p(b!) >= a >=
+    v_p(a!), so the reduction removes every such prime from a! and no
+    other: the reduced numerator is a! without its primes up to b, whose
+    exponents are Legendre's sums.  When that is needed b is small, since
+    the unreduced quotient (b!)^(a+b) / a! has already passed the check.
+    The logs come from ``math.lgamma``; a slack of 1e-9 of their size
+    absorbs the rounding, so no value that can be written is refused.
+    Arguments ``period_value`` rejects are left to it.
     """
     limit = sys.get_int_max_str_digits()
-    if limit == 0 or not 0 <= i <= n:
-        return
+    if limit == 0 or not 1 <= i <= n:
+        return  # period_value(n, 0) is 1
 
     def log10_factorial(k: int) -> float:
         return math.lgamma(k + 1) / math.log(10)
 
-    # log10 of the unreduced denominator over the unreduced numerator
-    digits = (i - 1) * log10_factorial(n - i)
-    if 2 * i < n + 1:
-        digits += log10_factorial(n - 2 * i)
-    else:
-        digits -= log10_factorial(2 * i - n - 1)
-    if abs(digits) - 3 > limit:
-        raise _digit_limit_error()
+    def refuse_past(digits: float, size: float) -> None:
+        # a positive integer x has more than ``limit`` digits iff log10 x >= limit
+        if digits >= limit + 1e-9 * (1 + size):
+            raise _digit_limit_error()
+
+    a, b = 2 * i - n - 1, n - i
+    try:
+        power = (i - 1) * log10_factorial(b)  # of ((n-i)!)^(i-1)
+        other = log10_factorial(a if a >= 0 else n - 2 * i)  # of a! or (n-2i)!
+    except OverflowError:  # n past about 10^305: every value at i >= 1 is far longer
+        raise _digit_limit_error() from None
+    size = power + other
+    if a < 0:
+        refuse_past(size, size)
+        return
+    refuse_past(abs(power - other), size)  # the larger reduced side is at least the quotient
+    if a > b:
+        sieve, shared = bytearray([1]) * (b + 1), 0.0
+        for p in range(2, b + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, b + 1, p)))
+                v, q = 0, a
+                while q:
+                    q //= p
+                    v += q
+                shared += v * math.log10(p)
+        refuse_past(other - shared + max(power - other, 0), size)
 
 
 class KTypeLabel(Value):

@@ -173,6 +173,32 @@ class TestMultiplicityRows:
                 alternating = [e for pair in zip(a, b, a) for e in pair]
                 self.check(alternating, grid_enhanced(group.subgroup, 2))
 
+    def test_states_reordered_for_a_later_weight(self):
+        # Every weight with every state, but the states of later weights in
+        # another order: not the weight-major product, so each small is read
+        # at its own cell.  A prefix of the product is read the same way.
+        for N in range(3, 8):
+            sub = GroupTag(N).subgroup
+            blocks = [list(enhanced_params(sub, s)) for s in grid_weights(sub, 2)]
+            smalls = blocks[0] + [e for block in blocks[1:] for e in reversed(block)]
+            bigs = grid_enhanced(GroupTag(N), 2)
+            self.check(bigs, smalls)
+            self.check(bigs, grid_enhanced(sub, 2)[:-1])
+
+    def test_in_order_rows_are_distinct_lists(self):
+        # On the grid each row is the freshly built table; writing into one
+        # row must not reach the rows after it.
+        bigs = grid_enhanced(GroupTag(5), 2)
+        smalls = grid_enhanced(GroupTag(4), 2)
+        expected = self.per_pair(bigs, smalls)
+        seen = []
+        for row, want in zip(multiplicity_rows(bigs, smalls), expected):
+            assert row == want
+            assert all(row is not other for other in seen)
+            seen.append(row)
+            row[:] = [7] * len(row)
+        assert len(seen) == len(bigs)
+
     def test_empty(self):
         bigs = grid_enhanced(GroupTag(5), 1)
         assert list(multiplicity_rows(bigs, [])) == [[] for _ in bigs]

@@ -391,6 +391,21 @@ class TestExitCodes:
             "the limit of Python's int-to-string conversion\n"
         )
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    @pytest.mark.parametrize("n, i", [("100000", "99992"), ("1" + "0" * 400, "5")])
+    def test_near_cancelling_period_refused_before_computing(self, capsys, n, i):
+        # 99983! / (8!)^99991 nearly cancels, but its reduced numerator does
+        # not: about 6.5 s went into forming it before the call refused.  An
+        # n past float range used to end in an OverflowError traceback.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--n", n, "--i", i)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: period value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of Python's int-to-string conversion\n"
+        )
+
     def test_period_at_height_zero_is_immediate(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")

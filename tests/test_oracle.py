@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import sobranch.branching as branching
@@ -209,10 +211,83 @@ class TestChiTwistDifferential:
     def test_matches_per_pair_reference(self, monkeypatch, module, name, fn, broken):
         if module is not None:
             monkeypatch.setattr(module, name, fn)
+        self.check_against_reference(broken)
+
+    def check_against_reference(self, broken):
+        # The suite keeps the reference's first failures and counts all of them.
         cases, failures = oracle._suite_chi_twist(self.BOUNDS)
-        assert (cases, failures) == reference_chi_twist(self.BOUNDS)
+        ref_cases, ref_failures = reference_chi_twist(self.BOUNDS)
+        assert (cases, failures) == (ref_cases, ref_failures[: oracle.KEPT_FAILURES])
+        assert failures.total == len(ref_failures)
         assert cases > 0
         assert bool(failures) is broken
+        return ref_failures
+
+    def test_twist_that_also_swaps_two_weights(self, monkeypatch):
+        # An in-grid twist that also exchanges the blocks of the zero weight
+        # and (1, 0, ..) is a permutation of the grid but not blockwise, so
+        # the suite reads each twin cell by index.
+        def swapping_twist(e):
+            t = twist_chi_minus(e)
+            zero, first = (0,) * e.s.rank, (1,) + (0,) * (e.s.rank - 1)
+            swap = {zero: first, first: zero}.get(e.s.entries)
+            return t if swap is None else EnhancedParam(e.group, Weight(swap), t.height, t.sig)
+
+        monkeypatch.setattr(oracle, "twist_chi_minus", swapping_twist)
+        assert self.check_against_reference(broken=True)
+
+    def test_single_flipped_cell(self, monkeypatch):
+        # An engine wrong on one pair (both signs definite) fails the suite
+        # at that pair and at its twin, exactly as the per-pair reference.
+        big = EnhancedParam(GroupTag(6), Weight((2, 1, 0)), 1, Signature.PLUS)
+        small = EnhancedParam(GroupTag(5), Weight((1, 1, 0)), 1, Signature.MINUS)
+        engine_rows, engine_multiplicity = oracle.multiplicity_rows, oracle.multiplicity
+
+        def flipped_rows(bigs, smalls):
+            bigs, smalls = list(bigs), list(smalls)
+            for b, row in zip(bigs, engine_rows(bigs, smalls)):
+                if b == big:
+                    k = smalls.index(small)
+                    row[k] = 1 - row[k]
+                yield row
+
+        def flipped(b, q):
+            m = engine_multiplicity(b, q)
+            return 1 - m if (b, q) == (big, small) else m
+
+        monkeypatch.setattr(oracle, "multiplicity_rows", flipped_rows)
+        monkeypatch.setattr(oracle, "multiplicity", flipped)
+        failures = self.check_against_reference(broken=True)
+        assert failures == [
+            {"big": repr(big), "small": repr(small)},
+            {"big": repr(twist_chi_minus(big)), "small": repr(twist_chi_minus(small))},
+        ]
+
+    def test_broken_engine_keeps_memory_bounded(self, monkeypatch):
+        # Every failure is counted but only the first KEPT_FAILURES are kept:
+        # a broken engine's report costs no more memory than a passing one
+        # (the 2 158 failure records took about 1 MB when all were kept).
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                report = run_suite("chi-twist", self.BOUNDS)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        passing, passing_peak = traced_peak()
+        monkeypatch.setattr(branching, "_states_match", _plus_matches_every_state)
+        failing, failing_peak = traced_peak()
+        _, ref_failures = reference_chi_twist(self.BOUNDS)
+        assert passing.passed and passing.failures_total == 0
+        assert failing_peak - passing_peak < 64 * 1024
+        assert failing.failures == ref_failures[: oracle.KEPT_FAILURES]
+        assert failing.failures_total == len(ref_failures) > oracle.KEPT_FAILURES
+        data = failing.to_json()
+        assert list(data) == ["suite", "cases_run", "failures", "failures_total", "passed"]
+        assert (data["failures_total"], data["passed"]) == (len(ref_failures), False)
+        assert failing.summary_line().endswith(f"FAIL ({len(ref_failures)})")
+        assert list(passing.to_json()) == ["suite", "cases_run", "failures", "passed"]
 
     def test_each_case_evaluated_once(self, monkeypatch):
         # Each case is one entry of one row, and each big row is produced once.

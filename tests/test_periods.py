@@ -332,6 +332,29 @@ class TestPeriodValue:
         assert any(2 * i < n + 1 for n, i in refused)
         assert (edge + 15, edge + 15) in refused and (edge - 15, edge - 15) not in refused
 
+    def test_digit_bound_is_exact(self):
+        # With the smallest limit Python allows, the early check refuses
+        # exactly the values whose reduced numerator or denominator cannot
+        # be written, including the near-cancelling quotients at 2i >= n+1.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for n in range(1, 251):
+                for i in range(n + 1):
+                    try:
+                        check_period_digits(n, i)
+                        early = None
+                    except OutOfRangeError as exc:
+                        early = str(exc)
+                    try:
+                        period_value(n, i).to_json()
+                        late = None
+                    except OutOfRangeError as exc:
+                        late = str(exc)
+                    assert early == late, (n, i)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_numerator_bound_refuses_before_forming_it(self):
         # period_value(300000, 300000) is 299999!, formed in about 1.6 s
         # before writing it failed.

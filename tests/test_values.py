@@ -73,7 +73,8 @@ CASES = [
      "right_sig=<Signature.MINUS: '-'>, right_coeff=Weight(entries=(0, 0)), nonzero=True, "
      "rendering='section6')"),
     (SuiteReport, ("roundtrip", 3, [{"boom": True}], 0.0),
-     "SuiteReport(suite='roundtrip', cases_run=3, failures=[{'boom': True}], elapsed=0.0)"),
+     "SuiteReport(suite='roundtrip', cases_run=3, failures=[{'boom': True}], elapsed=0.0, "
+     "failures_total=1)"),
 ]
 
 
