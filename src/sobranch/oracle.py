@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import time
 from importlib import resources
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
+from operator import ne
 from typing import Callable, Iterator, Sequence
 
 from . import SUITE_NAMES
@@ -97,9 +98,11 @@ class _Failures(list):
         if len(self) < KEPT_FAILURES:
             super().append(failure)
 
-    def extend(self, failures) -> None:
-        for failure in failures:
-            self.append(failure)
+    def add(self, cases: list, record: Callable) -> None:
+        """Count every case and keep ``record(case)`` for those that still
+        fit, so no record is built only to be dropped."""
+        self.total += len(cases)
+        super().extend(map(record, cases[: KEPT_FAILURES - len(self)]))
 
 
 def compact_branch_so(N: int, lam: Sequence[int]) -> list[tuple[int, ...]]:
@@ -254,10 +257,11 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     The grid lists S states per weight, and the twist moves a small only
     within its block of S, the same way in every block: twin[q] is
     q - q % S + twin[q % S].  That is checked once per N, and then the twin
-    row is read by S strided slices, twisted[k::S] = trow[twin[k]::S].  A
-    twist that is a permutation of the smalls but not blockwise reads each
-    twin cell by index, and a twisted parameter outside the grid (an engine
-    bug) is evaluated directly.  Failures are listed in big-parameter order.
+    row is read by S strided slices, twisted[k::S] = trow[twin[k]::S].  Any
+    other twist reads each twin cell by index, and a twisted parameter
+    outside the grid (an engine bug) is evaluated directly.  Failures are
+    listed in big-parameter order; a mismatching case past the kept ones is
+    only counted.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
@@ -268,10 +272,9 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
         twisted_small = [twist_chi_minus(p) for p in small_params]
         position = {p: i for i, p in enumerate(small_params)}
         twin = [position.get(t) for t in twisted_small]
-        permuted = None not in twin
         S = len({(p.height, p.sig) for p in small_params})
         blockwise = (
-            permuted
+            None not in twin
             and S > 0
             and len(twin) % S == 0
             and all(t == q - q % S + twin[q % S] for q, t in enumerate(twin))
@@ -302,8 +305,6 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
                     twisted = trow[:]
                     for k in range(S):
                         twisted[k::S] = trow[twin[k]::S]
-                elif permuted:
-                    twisted = list(map(take(j).__getitem__, twin))
                 else:
                     trow = take(j)
                     twisted = [
@@ -312,10 +313,9 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
                     ]
                 cases += len(own)
                 if own != twisted:
-                    failures.extend(
-                        {"big": repr(big), "small": repr(small)}
-                        for small, m, tm in zip(small_params, own, twisted)
-                        if m != tm
+                    failures.add(
+                        list(compress(small_params, map(ne, own, twisted))),
+                        lambda small: {"big": repr(big), "small": repr(small)},
                     )
                 done += 1
     return cases, failures

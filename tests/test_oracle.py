@@ -289,6 +289,23 @@ class TestChiTwistDifferential:
         assert failing.summary_line().endswith(f"FAIL ({len(ref_failures)})")
         assert list(passing.to_json()) == ["suite", "cases_run", "failures", "passed"]
 
+    def test_broken_engine_formats_only_kept_failures(self, monkeypatch):
+        # Mismatches past the kept ones are counted, not formatted: the suite
+        # calls repr twice per kept record and never for a dropped one.
+        calls = []
+
+        def counted_repr(obj):
+            calls.append(obj)
+            return repr(obj)
+
+        monkeypatch.setattr(branching, "_states_match", _plus_matches_every_state)
+        monkeypatch.setattr(oracle, "repr", counted_repr, raising=False)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        ref_cases, ref_failures = reference_chi_twist(self.BOUNDS)
+        assert (cases, failures) == (ref_cases, ref_failures[: oracle.KEPT_FAILURES])
+        assert failures.total == len(ref_failures) > oracle.KEPT_FAILURES
+        assert len(calls) == 2 * oracle.KEPT_FAILURES
+
     def test_each_case_evaluated_once(self, monkeypatch):
         # Each case is one entry of one row, and each big row is produced once.
         produced = []
