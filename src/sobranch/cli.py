@@ -41,11 +41,24 @@ from .reps import (
 from .weights import GroupTag, Weight, validate_weight
 
 
+def _check_digits(values: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """Refuse an integer with Python's int-to-string digit limit or more
+    digits (none when the limit is 0).  Every integer printed from the
+    input is at most one digit longer than one of them, so it can be written."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= 10 ** (limit - 1) for v in values):
+        raise OutOfRangeError(
+            f"{what} has {limit} digits or more, past Python's int-to-string limit"
+        )
+    return values
+
+
 def _parse_int(text: str, what: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError as exc:
         raise OutOfRangeError(f"cannot parse integer {what}={text!r}") from exc
+    return _check_digits((value,), f"integer {what}")[0]
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -53,9 +66,10 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        values = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise OutOfRangeError(f"cannot parse integer list {text!r}") from exc
+    return _check_digits(values, "an entry of an integer list")
 
 
 def _parse_kv(text: str, positional_key: str | None = None) -> dict[str, str]:
@@ -316,8 +330,9 @@ def _cmd_period(args: argparse.Namespace) -> int:
 
     if args.ktype:
         label = minimal_k_type_trivial_rho(args.n, args.i)
-        payload = {"n": args.n, "i": args.i, "minimal_k_type": label.to_json()}
-        _emit(args, payload, label.pretty() + f"  dim {label.dimension}")
+        ktype = label.to_json()
+        payload = {"n": args.n, "i": args.i, "minimal_k_type": ktype}
+        _emit(args, payload, label.pretty() + f"  dim {ktype['dimension']}")
         return 0
     check_period_digits(args.n, args.i)
     value = period_value(args.n, args.i)

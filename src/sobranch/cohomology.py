@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .branching import multiplicity
-from .errors import GroupMismatchError, OutOfRangeError
+from .branching import _mismatch_error, multiplicity
+from .errors import OutOfRangeError
 from .reps import EnhancedParam, Signature
 from .values import Value, store
 from .weights import GroupTag, Weight, zero_weight
@@ -149,9 +149,7 @@ def bilinear_gate(
       match.
     """
     if small.group.N != big.group.N - 1:
-        raise GroupMismatchError(
-            f"{small.group} is not the rank-one subgroup of {big.group}"
-        )
+        raise _mismatch_error(big, small)
     if coeff_big != big.s or coeff_small != small.s:
         return None
     if big.height != small.height or multiplicity(big, small) != 1:

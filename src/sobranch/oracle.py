@@ -12,24 +12,28 @@ from __future__ import annotations
 import json
 import time
 from importlib import resources
-from itertools import combinations_with_replacement, compress, product
+from itertools import combinations_with_replacement, compress, groupby, product
 from operator import ne
 from typing import Callable, Iterator, Sequence
 
 from . import SUITE_NAMES
 from .branching import multiplicity, multiplicity_rows, sb_diagram
-from .errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
+from .errors import (
+    InvalidDescriptorError, NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError,
+)
 from .reps import (
+    DiscreteSeries,
     EnhancedParam,
     FiniteDim,
+    RepDescriptor,
     Signature,
+    TemperedPS,
     classify,
     enhanced_from_langlands,
     enhanced_params,
+    height,
     langlands_from_enhanced,
     twist_chi_minus,
-    _height_by_insertion,
-    _height_by_intervals,
 )
 from .values import Value
 from .weights import GroupTag, Weight, weyl_dim, zero_weight
@@ -202,7 +206,31 @@ def _suite_roundtrip(bounds: dict) -> tuple[int, _Failures]:
     return cases, failures
 
 
+def _height_by_intervals(d: RepDescriptor) -> int:
+    """Height from the defining inequalities i - sigma_i < lam < i+1 - sigma_{i+1}.
+
+    sigma_0 is treated as +infinity and sigma_k = 0 beyond the stored rank,
+    which subsumes the top nontempered interval for N even.
+    """
+    if isinstance(d, FiniteDim):
+        return 0
+    if isinstance(d, (TemperedPS, DiscreteSeries)):
+        return d.group.top_height
+    pad = (*d.sigma.entries, 0)  # pad[k - 1] is sigma_k
+    lam = d.lam
+    hits = [
+        i for i in range(d.group.top_height)
+        if (i == 0 or lam > i - pad[i - 1]) and lam < i + 1 - pad[i]
+    ]
+    if len(hits) != 1:
+        raise InvalidDescriptorError(
+            f"height intervals select {hits} for lam={d.lam}, sigma={d.sigma}"
+        )
+    return hits[0]
+
+
 def _suite_height_consistency(bounds: dict) -> tuple[int, _Failures]:
+    """The engine's ``height`` against the interval criterion on every grid descriptor."""
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
@@ -211,14 +239,12 @@ def _suite_height_consistency(bounds: dict) -> tuple[int, _Failures]:
         for s in grid_weights(group, max_entry):
             for d in classify(group, s):
                 cases += 1
-                h_ins = _height_by_insertion(d)
+                h = height(d)
                 h_int = _height_by_intervals(d)
-                if h_ins != h_int:
-                    failures.append(
-                        {"descriptor": repr(d), "insertion": h_ins, "intervals": h_int}
-                    )
-                if isinstance(d, FiniteDim) and h_ins != 0:
-                    failures.append({"descriptor": repr(d), "insertion": h_ins})
+                if h != h_int:
+                    failures.append({"descriptor": repr(d), "insertion": h, "intervals": h_int})
+                if isinstance(d, FiniteDim) and h != 0:
+                    failures.append({"descriptor": repr(d), "insertion": h})
     return cases, failures
 
 
@@ -246,22 +272,19 @@ def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, _Failures]:
 def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     """Twisting both sides by chi_- leaves every multiplicity unchanged.
 
-    ``twist_chi_minus`` maps the grid onto itself, so the twisted pair is
-    another case of the same grid: the engine's rows over the small grid,
-    from ``multiplicity_rows``, are read once each in grid order, and each
-    big parameter's row is compared with its twin, the row of the twisted
-    big parameter read at the twisted small parameters.  A row is held only
-    until every row it is compared with has arrived; on the grid the twins
-    (h, +) and (h, -) are adjacent, so that is at most one row.
+    Each big parameter's row over the small grid, from ``multiplicity_rows``,
+    is compared with its twin: the row of the twisted big parameter read at
+    the twisted smalls.  The twist keeps the theta-weight and the grid lists
+    each weight's parameters together, so the twin row is looked for in the
+    block of rows of the same weight, and one block is held at a time.
 
     The grid lists S states per weight, and the twist moves a small only
     within its block of S, the same way in every block: twin[q] is
-    q - q % S + twin[q % S].  That is checked once per N, and then the twin
-    row is read by S strided slices, twisted[k::S] = trow[twin[k]::S].  Any
-    other twist reads each twin cell by index, and a twisted parameter
-    outside the grid (an engine bug) is evaluated directly.  Failures are
-    listed in big-parameter order; a mismatching case past the kept ones is
-    only counted.
+    q - q % S + twin[q % S].  That is checked once per N.  When it holds and
+    the twin row is in the block, it is read by S strided slices,
+    twisted[k::S] = trow[twin[k]::S]; otherwise (an engine bug) the twisted
+    row is evaluated directly.  Cases are counted per row, failures listed
+    in big-parameter order, and a mismatch past the kept ones only counted.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
@@ -269,9 +292,8 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     for N in range(3, max_group + 1):
         big_params = grid_enhanced(GroupTag(N), max_entry)
         small_params = grid_enhanced(GroupTag(N - 1), max_entry)
-        twisted_small = [twist_chi_minus(p) for p in small_params]
         position = {p: i for i, p in enumerate(small_params)}
-        twin = [position.get(t) for t in twisted_small]
+        twin = [position.get(twist_chi_minus(p)) for p in small_params]
         S = len({(p.height, p.sig) for p in small_params})
         blockwise = (
             None not in twin
@@ -279,45 +301,24 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
             and len(twin) % S == 0
             and all(t == q - q % S + twin[q % S] for q, t in enumerate(twin))
         )
-        twisted_big = [twist_chi_minus(p) for p in big_params]
-        big_position = {p: i for i, p in enumerate(big_params)}
-        big_twin = [big_position.get(t) for t in twisted_big]
-        uses = [1] * len(big_params)  # once as a row, once per twin
-        for j in big_twin:
-            if j is not None:
-                uses[j] += 1
-        held: dict[int, list[int]] = {}
-
-        def take(i: int) -> list[int]:
-            uses[i] -= 1
-            return held[i] if uses[i] else held.pop(i)
-
-        done = 0  # big parameters compared so far
-        for i, row in enumerate(multiplicity_rows(big_params, small_params)):
-            held[i] = row
-            while done <= i and (big_twin[done] is None or big_twin[done] <= i):
-                big, tbig, j = big_params[done], twisted_big[done], big_twin[done]
-                own = take(done)
-                if j is None:
-                    twisted = [multiplicity(tbig, t) for t in twisted_small]
-                elif blockwise:
-                    trow = take(j)
+        rows = zip(big_params, multiplicity_rows(big_params, small_params))
+        for _, block in groupby(rows, lambda pair: pair[0].s):
+            block = list(block)
+            for big, own in block:
+                tbig = twist_chi_minus(big)
+                trow = next((row for b, row in block if b == tbig), None)
+                if blockwise and trow is not None:
                     twisted = trow[:]
                     for k in range(S):
                         twisted[k::S] = trow[twin[k]::S]
                 else:
-                    trow = take(j)
-                    twisted = [
-                        multiplicity(tbig, t) if k is None else trow[k]
-                        for t, k in zip(twisted_small, twin)
-                    ]
+                    twisted = [multiplicity(tbig, twist_chi_minus(q)) for q in small_params]
                 cases += len(own)
                 if own != twisted:
                     failures.add(
                         list(compress(small_params, map(ne, own, twisted))),
                         lambda small: {"big": repr(big), "small": repr(small)},
                     )
-                done += 1
     return cases, failures
 
 

@@ -100,17 +100,17 @@ class PeriodValue(Value):
         }
 
 
-def _decimal(x: int) -> str:
+def _decimal(x: int, what: str = "period value") -> str:
     """``str(x)``, or ``OutOfRangeError`` past Python's digit limit for it."""
     try:
         return str(x)
     except ValueError:  # raised only by the limit, for an int
-        raise _digit_limit_error() from None
+        raise _digit_limit_error(what) from None
 
 
-def _digit_limit_error() -> OutOfRangeError:
+def _digit_limit_error(what: str = "period value") -> OutOfRangeError:
     return OutOfRangeError(
-        f"period value has more than {sys.get_int_max_str_digits()} digits, "
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
         "the limit of Python's int-to-string conversion"
     )
 
@@ -185,10 +185,26 @@ class KTypeLabel(Value):
         return f"Λ^{self.degree}(C^{self.ambient}) ⊠ 1"
 
     def to_json(self) -> dict:
+        """The label, its dimension formed once, or ``OutOfRangeError`` when
+        the dimension has more digits than ``_decimal`` can write.  The bound
+        C(ambient, k) >= (ambient / k)^k, k = min(degree, ambient - degree),
+        refuses one far past the limit before it is formed: it needs no float
+        range, never refuses a writable value (given the slack of
+        ``check_period_digits``), and what passes it has under 2.5 times the
+        limit's digits."""
+        what = "minimal K-type dimension"
+        k = min(self.degree, self.ambient - self.degree)
+        limit = sys.get_int_max_str_digits()
+        if limit and k > 0:
+            low = k * (math.log10(self.ambient) - math.log10(k))
+            if low >= limit + 1e-9 * (1 + low):
+                raise _digit_limit_error(what)
+        dim = self.dimension
+        _decimal(dim, what)  # json.dumps would fail on it the same way
         return {
             "degree": self.degree,
             "ambient": self.ambient,
-            "dimension": self.dimension,
+            "dimension": dim,
             "pretty": self.pretty(),
         }
 

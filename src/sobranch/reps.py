@@ -285,59 +285,33 @@ def _char_slot(d: RepDescriptor) -> tuple[int, int]:
     return slot, a
 
 
-def _height_by_insertion(d: RepDescriptor) -> int:
-    """Height read off from the sorted position of the continuous parameter."""
-    if isinstance(d, FiniteDim):
-        return 0
+def _slot_height_sig(d: RepDescriptor) -> tuple[int, int, int, Signature]:
+    """``_char_slot`` of a descriptor that is not finite-dimensional, with
+    its height and signature: the slot and delta * (-1)^(slot - lam) below
+    the tempered wall, the top height and delta for the tempered principal
+    series, the top height and the wildcard for the discrete series (whose
+    entry always sorts last)."""
+    slot, a = _char_slot(d)
     if isinstance(d, DiscreteSeries):
-        return d.group.top_height
-    return _char_slot(d)[0]
-
-
-def _height_by_intervals(d: RepDescriptor) -> int:
-    """Height from the defining inequalities i - sigma_i < lam < i+1 - sigma_{i+1}.
-
-    sigma_0 is treated as +infinity and sigma_k = 0 beyond the stored rank,
-    which subsumes the top nontempered interval for N even.
-    """
-    if isinstance(d, FiniteDim):
-        return 0
-    if isinstance(d, (TemperedPS, DiscreteSeries)):
-        return d.group.top_height
-    pad = (*d.sigma.entries, 0)  # pad[k - 1] is sigma_k
-    lam = d.lam
-    hits = [
-        i for i in range(d.group.top_height)
-        if (i == 0 or lam > i - pad[i - 1]) and lam < i + 1 - pad[i]
-    ]
-    if len(hits) != 1:
-        raise InvalidDescriptorError(
-            f"height intervals select {hits} for lam={d.lam}, sigma={d.sigma}"
-        )
-    return hits[0]
+        return slot, a, d.group.top_height, _BOTH
+    if isinstance(d, TemperedPS):
+        return slot, a, d.group.top_height, d.delta
+    return slot, a, slot, d.delta.times_sign(slot - d.lam)
 
 
 def height(d: RepDescriptor) -> int:
-    """Height of the descriptor, computed two ways and cross-checked.
-
-    The interval criterion and the sorted-insertion position must agree; a
-    disagreement would mean the parameter data is inconsistent.
-    """
-    h_ins = _height_by_insertion(d)
-    h_int = _height_by_intervals(d)
-    if h_ins != h_int:
-        raise InvariantError(f"height methods disagree on {d}: {h_ins} vs {h_int}")
-    return h_ins
+    """Height of the descriptor: 0 for the finite-dimensional form, else the
+    slot of its continuous parameter (the top for the discrete series)."""
+    if isinstance(d, FiniteDim):
+        return 0
+    return _slot_height_sig(d)[2]
 
 
 def signature(d: RepDescriptor) -> Signature:
+    """Signature of the descriptor, the one ``enhanced_from_langlands`` gives."""
     if isinstance(d, FiniteDim):
         return d.sig
-    if isinstance(d, TemperedPS):
-        return d.delta
-    if isinstance(d, DiscreteSeries):
-        return Signature.BOTH
-    return d.delta.times_sign(_height_by_insertion(d) - d.lam)
+    return _slot_height_sig(d)[3]
 
 
 def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
@@ -345,14 +319,13 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
 
     With the continuous parameter at ``_char_slot`` position slot and doubled
     entry a, the theta-weight is sigma_k - 1 above the slot, slot + (a - n)/2
-    at it and sigma_k below it; the slot gives the height (pushed to the top
-    for the discrete series, whose entry always sorts last); the signature
-    follows the twist rule delta * (-1)^(height - lam).
+    at it and sigma_k below it; height and signature are those of
+    ``_slot_height_sig``.
     """
     group = d.group
     if isinstance(d, FiniteDim):
         return EnhancedParam(group, d.s, 0, d.sig)
-    slot, a = _char_slot(d)
+    slot, a, h, sig = _slot_height_sig(d)
     sig_e = d.sigma.entries
     ent = [x - 1 for x in sig_e[:slot]]
     ent.append(slot + (a - group.n) // 2)
@@ -365,11 +338,7 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
         weight = validate_weight(ent, group)
     except NotMonotoneError as exc:  # pragma: no cover - blocked by construction
         raise InvalidDescriptorError(str(exc)) from exc
-    if isinstance(d, DiscreteSeries):
-        return EnhancedParam(group, weight, group.top_height, Signature.BOTH)
-    if isinstance(d, TemperedPS):
-        return EnhancedParam(group, weight, group.top_height, d.delta)
-    return EnhancedParam(group, weight, slot, d.delta.times_sign(slot - d.lam))
+    return EnhancedParam(group, weight, h, sig)
 
 
 def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:

@@ -406,6 +406,54 @@ class TestExitCodes:
             "the limit of Python's int-to-string conversion\n"
         )
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    @pytest.mark.parametrize("mode", ["--json", "--table"])
+    @pytest.mark.parametrize("n, i", [("20000", "10000"), ("1000000", "500000")])
+    def test_over_limit_ktype_dimension_refused(self, capsys, n, i, mode):
+        # The first ended in a ValueError traceback; the second spent about
+        # 11 s in math.comb, twice, before that.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--n", n, "--i", i, "--ktype", mode)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: minimal K-type dimension has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of Python's int-to-string conversion\n"
+        )
+
+    def test_ktype_dimension_of_a_huge_ambient_prints(self, capsys):
+        # C(n+1, 1) = n+1 is as long as n: no float bound may refuse it.
+        n = 10 ** 3999
+        data = run_json(capsys, "period", "--n", str(n), "--i", "1", "--ktype")
+        assert data["minimal_k_type"]["dimension"] == n + 1
+        code, out, err = run_cli(capsys, "period", "--n", str(n), "--i", "1", "--ktype", "--table")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"  dim {n + 1}\n")
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    @pytest.mark.parametrize(
+        "command, flag, template",
+        [
+            ("classify", "--weight", "{},0"),
+            ("convert", "--enhanced", "{},0;h=1;sig=+"),
+            ("height", "--enhanced", "{},0;h=1;sig=+"),
+            ("convert", "--langlands", "sigma=0;delta=+;lambda=-{}"),
+        ],
+    )
+    def test_integer_digit_limit_edge(self, capsys, command, flag, template):
+        # An integer one digit short of the limit is accepted, and every
+        # integer printed from it can be written; one at the limit is
+        # refused, where sigma = s + 1 used to end in a ValueError traceback.
+        limit = sys.get_int_max_str_digits()
+        argv = [command, "--group", "SO(3,1)", flag]
+        code, out, err = run_cli(capsys, *argv, template.format("9" * (limit - 1)))
+        assert (code, err) == (0, "")
+        json.loads(out)
+        code, out, err = run_cli(capsys, *argv, template.format("9" * limit))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"has {limit} digits or more" in err
+
     def test_period_at_height_zero_is_immediate(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")
@@ -476,12 +524,16 @@ class TestDeterminism:
 
 
 GROUPS = ["SO(5,1)", "SO(4,1)", "SO(3,1)", "SO(6,1)", "SO(2,1)", "SO(1,1)", "SO(6)", "x"]
-WEIGHTS = ["0,0", "1,0", "1,1", "2,1", "1,1,0", "2,1,0", "0,0,0", "1,2,0", "", "x", "1.5,0"]
+# An entry with as many digits as Python's int-to-string limit, which the
+# parser refuses (without a limit it would be a valid, very slow weight).
+AT_LIMIT = ["9" * sys.get_int_max_str_digits() + ",0"] if sys.get_int_max_str_digits() else []
+WEIGHTS = ["0,0", "1,0", "1,1", "2,1", "1,1,0", "2,1,0", "0,0,0", "1,2,0", "", "x", "1.5,0",
+           *AT_LIMIT]
 SIGNS = ["+", "-", "pm", "+-", "minus", "x", ""]
 ENHANCED = [
     "1,1,0;h=1;sig=-", "0,0;h=2;sig=pm", "0,0,0;h=1;sig=+", "0,0;h=1;sig=+", "1,0;h=1;sig=+",
     "2,0,0;h=1;sig=+", "1,1,0;h=0;sig=+", "1,1,0;h=x;sig=-", "0,0;h=2;sig=+", "0,0,0;h=3;sig=+",
-    "h=1;sig=+", ";;", "x",
+    "h=1;sig=+", ";;", "x", *(entry + ";h=1;sig=+" for entry in AT_LIMIT),
 ]
 LANGLANDS = [
     "sigma=2,0;delta=+;lambda=0", "sigma=1,0;delta=+;lambda=0", "sigma=2;delta=+",

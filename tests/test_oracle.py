@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from sobranch import (
 from sobranch.branching import finite_dim_branch, multiplicity_rows
 from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
-from sobranch.reps import twist_chi_minus
+from sobranch.reps import Nontempered, twist_chi_minus
 
 from conftest import recursive_so_dim, reference_chi_twist, reference_so_weights, theta_weights
 
@@ -178,6 +180,50 @@ class TestSuites:
         assert data["cases_run"] == report.cases_run
 
 
+class TestHeightConsistency:
+    BOUNDS = SMALL_BOUNDS["height-consistency"]
+
+    def test_broken_engine_height(self, monkeypatch):
+        # The suite checks the engine's public height against its own
+        # interval method: one off by one on the nontempered descriptors of
+        # height >= 1 fails it once per such descriptor.
+        engine_height = oracle.height
+        patched = []
+
+        def off_by_one(d):
+            h = engine_height(d)
+            if isinstance(d, Nontempered) and h >= 1:
+                patched.append(d)
+                return h + 1
+            return h
+
+        assert run_suite("height-consistency", self.BOUNDS).passed
+        monkeypatch.setattr(oracle, "height", off_by_one)
+        report = run_suite("height-consistency", self.BOUNDS)
+        assert not report.passed
+        assert report.cases_run == SMALL_CASES["height-consistency"]
+        assert len(report.failures) == oracle.KEPT_FAILURES
+        assert report.failures_total == len(patched) > oracle.KEPT_FAILURES
+        d = patched[0]
+        assert report.failures[0] == {
+            "descriptor": repr(d), "insertion": engine_height(d) + 1, "intervals": engine_height(d),
+        }
+
+
+def test_oracle_imports_no_private_engine_name():
+    # The suites share no private code with the engine they check.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sobranch")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 _engine_states_match = branching._states_match
 
 
@@ -226,7 +272,7 @@ class TestChiTwistDifferential:
     def test_twist_that_also_swaps_two_weights(self, monkeypatch):
         # An in-grid twist that also exchanges the blocks of the zero weight
         # and (1, 0, ..) is a permutation of the grid but not blockwise, so
-        # the suite reads each twin cell by index.
+        # the suite evaluates every twisted row directly.
         def swapping_twist(e):
             t = twist_chi_minus(e)
             zero, first = (0,) * e.s.rank, (1,) + (0,) * (e.s.rank - 1)

@@ -385,6 +385,51 @@ class TestMinimalKType:
             for i in range(n + 2):
                 assert minimal_k_type_trivial_rho(n, i).dimension == comb(n + 1, i)
 
+    def test_dimension_refused_exactly_when_unwritable(self):
+        # With the smallest limit Python allows, writing the label fails
+        # exactly when str(C(n+1, i)) does.  The sweep covers every n <= 300,
+        # where no dimension reaches the limit, and the rows around n = 2130,
+        # where the middle dimensions pass it.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            sweep = [(n, i) for n in range(1, 301) for i in range(n + 2)]
+            sweep += [(n, i) for n in range(2110, 2160, 7) for i in range(n // 2 - 60, n // 2 + 62)]
+            refused = 0
+            for n, i in sweep:
+                try:
+                    str(comb(n + 1, i))
+                    unwritable = False
+                except ValueError:
+                    unwritable = True
+                try:
+                    minimal_k_type_trivial_rho(n, i).to_json()
+                    refusal = None
+                except OutOfRangeError as exc:
+                    refusal = str(exc)
+                    refused += 1
+                assert (refusal is not None) is unwritable, (n, i)
+                if refusal is not None:
+                    assert refusal == (
+                        "minimal K-type dimension has more than 640 digits, "
+                        "the limit of Python's int-to-string conversion"
+                    )
+            assert 0 < refused < len(sweep)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+    def test_far_past_the_limit_refused_before_forming(self, monkeypatch):
+        # C(10^6 + 1, 5 * 10^5) took about 11 s to form; C(10^100, 5 * 10^49)
+        # could not be formed at all.
+        def no_comb(n, k):
+            raise AssertionError(f"comb({n}, {k}) formed")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        for n, i in ((10 ** 6, 5 * 10 ** 5), (10 ** 100, 5 * 10 ** 49), (10 ** 4000, 2)):
+            with pytest.raises(OutOfRangeError, match="K-type dimension has more than"):
+                minimal_k_type_trivial_rho(n, i).to_json()
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             minimal_k_type_trivial_rho(3, 5)

@@ -30,10 +30,8 @@ from sobranch.errors import (
     SingularInfCharError,
     WrongRankError,
 )
-from sobranch.oracle import grid_weights
+from sobranch.oracle import _height_by_intervals, grid_weights
 from sobranch.reps import (
-    _height_by_insertion,
-    _height_by_intervals,
     descriptor_to_json,
     enhanced_params,
     theta_param_str,
@@ -440,7 +438,7 @@ class TestConversionsMatchReference:
                 assert enhanced_from_langlands(d) == reference_enhanced_from_langlands(d) == e
                 assert height(d) == reference_height_by_intervals(d) == e.height
                 assert signature(d) == reference_signature(d)
-                assert _height_by_insertion(d) == reference_height_by_insertion(d)
+                assert height(d) == reference_height_by_insertion(d)
                 descriptors.append(d)
             assert classify(group, s) == descriptors
 
@@ -450,7 +448,7 @@ class TestConversionsMatchReference:
         count = 0
         for d in descriptor_grid(group, 2):
             count += 1
-            assert outcome(_height_by_insertion, d) == outcome(reference_height_by_insertion, d)
+            assert outcome(height, d) == outcome(reference_height_by_insertion, d)
             assert outcome(_height_by_intervals, d) == outcome(reference_height_by_intervals, d)
             assert outcome(signature, d) == outcome(reference_signature, d)
             assert outcome(enhanced_from_langlands, d) == outcome(reference_enhanced_from_langlands, d)
@@ -465,7 +463,7 @@ class TestConversionsMatchReference:
             d = unchecked(Nontempered, group=group, sigma=sigma, delta=P, lam=k - sigma.entries[k - 1])
             want = outcome(reference_char_slots, d)
             assert want[0] is SingularInfCharError
-            for fn in (_height_by_insertion, height, signature, enhanced_from_langlands):
+            for fn in (height, signature, enhanced_from_langlands):
                 assert outcome(fn, d) == want
         d = unchecked(TemperedPS, group=GroupTag(5), sigma=W(1, 0), delta=P)
         assert outcome(enhanced_from_langlands, d) == outcome(reference_enhanced_from_langlands, d)
