@@ -8,9 +8,9 @@ interlace.  The rule factors into a test on the (height, signature) states,
 ``_states_match``, times a test on the theta-weights, ``interlaces``.
 ``multiplicity`` applies both to one pair; ``multiplicity_rows`` decides a
 row of pairs by tabulating each test once per distinct state and distinct
-weight and reading the product of the two tables.  Everything else in this
-module (enumeration, diagrams, the tempered pairing check) is derived from
-that single decision procedure.
+weight and writing the state table into the blocks of the interlacing
+weights.  Everything else in this module (enumeration, diagrams, the
+tempered pairing check) is derived from that single decision procedure.
 """
 
 from __future__ import annotations
@@ -121,17 +121,19 @@ def multiplicity_rows(
     """Yield ``[multiplicity(big, q) for q in smalls]`` for each big, in order.
 
     The smalls are indexed once by their distinct (height, signature) states
-    and distinct theta-weights.  Per big, ``_states_match`` decides each
-    state and ``interlaces`` each weight (only when the big's weight
-    changes), and the product of the two is laid out weight-major: the cell
-    of weight w and state k is w * S + k, for S states, built as one block
-    of S state decisions (or zeros) per weight.  When the smalls are exactly
-    that product in that order, every weight with the same states in the
-    same order (as ``oracle.grid_enhanced`` lists them), the fresh table is
-    the row; any other order, repeat or subset of smalls reads the row from
-    the table at each small's cell.  A small outside the big's rank-one
-    subgroup raises ``multiplicity``'s ``GroupMismatchError``, naming the
-    first such small.
+    and distinct theta-weights, and each row is laid out weight-major: the
+    cell of weight w and state k is w * S + k, for S states.  A cell is 1
+    only where the big's weight interlaces w, so each big weight (tabulated
+    again only when it changes) keeps just the starts w * S of the weights it
+    interlaces, and each distinct big (height, signature) decides the S
+    states once per call.  A row is a fresh ``[0] * (W * S)`` with that
+    state vector written into each interlacing weight's block.  When the
+    smalls are exactly that product in that order, every weight with the
+    same states in the same order (as ``oracle.grid_enhanced`` lists them),
+    the fresh table is the row; any other order, repeat or subset of smalls
+    reads the row from the table at each small's cell.  A small outside the
+    big's rank-one subgroup raises ``multiplicity``'s ``GroupMismatchError``,
+    naming the first such small.
     """
     smalls = list(smalls)
     states: dict[tuple[int, Signature], int] = {}
@@ -141,21 +143,26 @@ def multiplicity_rows(
         states.setdefault((q.height, q.sig), len(states))
         weights.setdefault(q.s, len(weights))
         firsts.setdefault(q.group, q)
-    cell_of = [weights[q.s] * len(states) + states[q.height, q.sig] for q in smalls]
-    in_order = cell_of == list(range(len(weights) * len(states)))
-    zeros = [0] * len(states)
-    s = inter = None
+    S = len(states)
+    cell_of = [weights[q.s] * S + states[q.height, q.sig] for q in smalls]
+    size = len(weights) * S
+    in_order = cell_of == list(range(size))
+    matches: dict[tuple[int, Signature], list[int]] = {}
+    s = starts = None
     for big in bigs:
         for q in firsts.values():
             if q.group.N != big.group.N - 1:
                 raise _mismatch_error(big, q)
         if big.s != s:
             s = big.s
-            inter = [interlaces(s, nu) for nu in weights]
-        match = [1 if _states_match(big.height, big.sig, h, sig) else 0 for h, sig in states]
-        table: list[int] = []
-        for ok in inter:
-            table += match if ok else zeros
+            starts = [w * S for w, nu in enumerate(weights) if interlaces(s, nu)]
+        key = (big.height, big.sig)
+        match = matches.get(key)
+        if match is None:
+            match = matches[key] = [1 if _states_match(*key, h, sig) else 0 for h, sig in states]
+        table = [0] * size
+        for start in starts:
+            table[start : start + S] = match
         yield table if in_order else list(map(table.__getitem__, cell_of))
 
 

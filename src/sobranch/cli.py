@@ -387,6 +387,11 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
+# The largest ``cohomology --n``: the answer lists zero weights of rank about
+# n/2, so its size grows with n.
+MAX_COHOMOLOGY_N = 10_000
+
+
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     from .cohomology import bilinear_gate, pairing_trivial_rho
 
@@ -419,6 +424,8 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         raise OutOfRangeError(f"cohomology {', '.join(stray)} only apply in gate mode (--gate)")
     if args.n is None or args.i is None or args.j is None:
         raise OutOfRangeError("cohomology needs --n, --i and --j (or gate mode flags)")
+    if args.n > MAX_COHOMOLOGY_N:
+        raise OutOfRangeError(f"cohomology --n must be at most {MAX_COHOMOLOGY_N}, got {args.n}")
     delta = Signature.parse(args.delta)
     desc = pairing_trivial_rho(args.n, args.i, delta, args.j, args.intro_rendering)
     payload = desc.to_json()

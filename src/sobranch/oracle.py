@@ -276,22 +276,34 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     is compared with its twin: the row of the twisted big parameter read at
     the twisted smalls.  The twist keeps the theta-weight and the grid lists
     each weight's parameters together, so the twin row is looked for in the
-    block of rows of the same weight, and one block is held at a time.
+    block of rows of the same weight, and one block is held at a time.  The
+    big grid of N is the small grid of N + 1, so each grid is built once.
 
     The grid lists S states per weight, and the twist moves a small only
     within its block of S, the same way in every block: twin[q] is
     q - q % S + twin[q % S].  That is checked once per N.  When it holds and
-    the twin row is in the block, it is read by S strided slices,
-    twisted[k::S] = trow[twin[k]::S]; otherwise (an engine bug) the twisted
-    row is evaluated directly.  Cases are counted per row, failures listed
-    in big-parameter order, and a mismatch past the kept ones only counted.
+    the twin row is in the block, the rows are compared by S strided slices,
+    own[k::S] == trow[twin[k]::S], and the twisted row is built only on a
+    mismatch, to list the failing smalls; otherwise (an engine bug) the
+    twisted row is evaluated directly.
+
+    chi_- is an involution, so when the state twin is one too (also checked
+    once per N) the comparison of B with its twin tB and that of tB with B
+    test the same equalities: own_B[q] == row_tB[twin[q]] for every q is
+    row_tB[q'] == own_B[twin[q']] for q' = twin[q].  So once B passed against
+    tB, the comparison of tB is skipped when tB's twin is B; its cases are
+    still counted.  A failure compares both rows in full, so the failures,
+    listed in big-parameter order with those past the kept ones only
+    counted, are the per-pair check's.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
+    small_params = None
     for N in range(3, max_group + 1):
+        if small_params is None:
+            small_params = grid_enhanced(GroupTag(N - 1), max_entry)
         big_params = grid_enhanced(GroupTag(N), max_entry)
-        small_params = grid_enhanced(GroupTag(N - 1), max_entry)
         position = {p: i for i, p in enumerate(small_params)}
         twin = [position.get(twist_chi_minus(p)) for p in small_params]
         S = len({(p.height, p.sig) for p in small_params})
@@ -301,24 +313,34 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
             and len(twin) % S == 0
             and all(t == q - q % S + twin[q % S] for q, t in enumerate(twin))
         )
+        involution = blockwise and all(twin[twin[k]] == k for k in range(S))
         rows = zip(big_params, multiplicity_rows(big_params, small_params))
         for _, block in groupby(rows, lambda pair: pair[0].s):
             block = list(block)
-            for big, own in block:
+            at = {b: i for i, (b, _) in enumerate(block)}
+            passed = {}  # row index -> the index of the twin row it passed against
+            for i, (big, own) in enumerate(block):
+                cases += len(own)
                 tbig = twist_chi_minus(big)
-                trow = next((row for b, row in block if b == tbig), None)
-                if blockwise and trow is not None:
+                j = at.get(tbig)
+                if blockwise and j is not None:
+                    if involution and passed.get(j) == i:
+                        continue
+                    trow = block[j][1]
+                    if all(own[k::S] == trow[twin[k]::S] for k in range(S)):
+                        passed[i] = j
+                        continue
                     twisted = trow[:]
                     for k in range(S):
                         twisted[k::S] = trow[twin[k]::S]
                 else:
                     twisted = [multiplicity(tbig, twist_chi_minus(q)) for q in small_params]
-                cases += len(own)
                 if own != twisted:
                     failures.add(
                         list(compress(small_params, map(ne, own, twisted))),
                         lambda small: {"big": repr(big), "small": repr(small)},
                     )
+        small_params = big_params
     return cases, failures
 
 
@@ -330,28 +352,31 @@ def _suite_height0_vs_finite(bounds: dict) -> tuple[int, _Failures]:
     for N in range(3, max_group + 1):
         group = GroupTag(N)
         sub = group.subgroup
-        sub_weights = list(grid_weights(sub, max_entry))
+        smalls = [
+            (nu, eps, EnhancedParam(sub, nu, 0, eps))
+            for nu in grid_weights(sub, max_entry)
+            for eps in signs
+        ]
         for s in grid_weights(group, max_entry):
             allowed = height0_targets(group, s)
             for delta in signs:
                 big = EnhancedParam(group, s, 0, delta)
-                for nu in sub_weights:
-                    for eps in signs:
-                        cases += 1
-                        m = multiplicity(big, EnhancedParam(sub, nu, 0, eps))
-                        expected = 1 if (eps is delta and nu in allowed) else 0
-                        if m != expected:
-                            failures.append(
-                                {
-                                    "N": N,
-                                    "s": s.to_json(),
-                                    "nu": nu.to_json(),
-                                    "delta": delta.value,
-                                    "eps": eps.value,
-                                    "multiplicity": m,
-                                    "expected": expected,
-                                }
-                            )
+                for nu, eps, small in smalls:
+                    cases += 1
+                    m = multiplicity(big, small)
+                    expected = 1 if (eps is delta and nu in allowed) else 0
+                    if m != expected:
+                        failures.append(
+                            {
+                                "N": N,
+                                "s": s.to_json(),
+                                "nu": nu.to_json(),
+                                "delta": delta.value,
+                                "eps": eps.value,
+                                "multiplicity": m,
+                                "expected": expected,
+                            }
+                        )
     return cases, failures
 
 
@@ -387,8 +412,9 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     """Run one named suite over its grid and report the counterexamples.
 
     A bound that ``bounds`` leaves out keeps its value from suite_grids.json;
-    bounds that are not a dict, a key that suite_grids.json does not list, or
-    a value that is not an integer raise ``OutOfRangeError``.
+    bounds that are not a dict, a key that suite_grids.json does not list, a
+    value that is not an integer, or bounds whose grid holds no case (a pass
+    that checked nothing) raise ``OutOfRangeError``.
     """
     if suite not in _SUITES:
         raise UnknownSuiteError(
@@ -401,6 +427,8 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     start = time.perf_counter()
     cases, failures = _SUITES[suite](bounds)
     elapsed = time.perf_counter() - start
+    if not cases:
+        raise OutOfRangeError(f"the bounds of {suite!r} select no case; nothing was checked")
     return SuiteReport(suite, cases, list(failures), elapsed, failures.total)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sobranch.branching as branching
 from sobranch import (
     DiscreteSeries,
     EnhancedParam,
@@ -229,6 +230,73 @@ class TestMultiplicityRows:
         with pytest.raises(GroupMismatchError) as got:
             next(rows)
         assert str(got.value) == "SO(4,1) is not the rank-one subgroup of SO(6,1)"
+
+    # A row is written only in the blocks of the small weights that the big's
+    # weight interlaces, from one state vector per big (height, signature).
+
+    def test_weight_interlacing_no_small_gives_zero_row(self):
+        # 4 >= nu_1 >= 4 >= nu_2: no weight of the grid with entries <= 1.
+        smalls = grid_enhanced(GroupTag(4), 1)
+        bigs = [E(5, (4, 4, 0), h, sig) for h, sig in [(0, P), (1, M), (2, P)]]
+        assert self.check(bigs, smalls) == [[0] * len(smalls)] * len(bigs)
+        self.check(bigs, smalls[::-1])
+
+    def test_shared_states_across_weights(self, monkeypatch):
+        # Bigs of different weights with the same (height, signature) reuse
+        # one state vector: S decisions per distinct state of the bigs.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return engine_states_match(*args)
+
+        engine_states_match = branching._states_match
+        monkeypatch.setattr(branching, "_states_match", counted)
+        smalls = grid_enhanced(GroupTag(4), 2)
+        S = len({(q.height, q.sig) for q in smalls})
+        weights = [(2, 1, 0), (1, 1, 0), (2, 2, 0), (0, 0, 0), (2, 1, 0)]
+        bigs = [E(5, s, h, sig) for s in weights for h, sig in [(1, P), (0, M), (1, P)]]
+        calls.clear()
+        rows = list(multiplicity_rows(bigs, smalls))
+        assert len(calls) == 2 * S
+        monkeypatch.undo()
+        assert rows == self.check(bigs, smalls)
+
+    @pytest.mark.parametrize("where, block", [("first", 0), ("last", 2)])
+    def test_single_interlacing_weight(self, where, block):
+        # SO(4,1) weights interlace the SO(3,1) weights (nu_1, 0) with
+        # lam_1 >= nu_1 >= lam_2; of the grid (2, 0), (1, 0), (0, 0), each
+        # with 4 states, (2, 2) interlaces only the first, (0, 0) only the last.
+        s = {"first": (2, 2), "last": (0, 0)}[where]
+        bigs = list(enhanced_params(GroupTag(4), W(*s)))
+        rows = self.check(bigs, grid_enhanced(GroupTag(3), 2))
+        assert {i // 4 for row in rows for i, m in enumerate(row) if m} == {block}
+
+    def test_writing_into_a_row_leaves_later_rows(self):
+        # Bigs of one state over one small weight: no row is the shared
+        # state vector, on the grid or read through the cells.
+        smalls = list(enhanced_params(GroupTag(4), W(1, 0)))
+        bigs = [E(5, s, 1, P) for s in [(1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 0)]]
+        for order in (smalls, smalls[::-1]):
+            want = self.check(bigs, order)
+            assert all(1 in row for row in want)
+            for row, w in zip(multiplicity_rows(bigs, order), want):
+                assert row == w
+                row[:] = [7] * len(row)
+
+    def test_wrong_big_after_shared_states(self):
+        smalls = grid_enhanced(GroupTag(4), 1)
+        bigs = [E(5, (1, 1, 0), 1, P), E(5, (1, 0, 0), 1, P), E(6, (1, 1, 0), 1, P)]
+        rows = multiplicity_rows(bigs, smalls)
+        for big in bigs[:2]:
+            assert next(rows) == [reference_multiplicity(big, q) for q in smalls]
+        with pytest.raises(GroupMismatchError) as expected:
+            self.per_pair(bigs[2:], smalls)
+        with pytest.raises(GroupMismatchError) as got:
+            next(rows)
+        assert str(got.value) == str(expected.value) == (
+            "SO(4,1) is not the rank-one subgroup of SO(6,1)"
+        )
 
 
 class TestBranchEnumerate:

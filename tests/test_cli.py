@@ -255,6 +255,24 @@ class TestSelftest:
         assert code == 2 and out == ""
         assert f"grid file {str(grids)!r}: bound roundtrip.max_group must be an integer, got 3.9" in err
 
+    @pytest.mark.parametrize(
+        "suite, bounds",
+        [
+            ("chi-twist", {"max_entry": -1}),
+            ("chi-twist", {"max_group": 2}),
+            ("dim-conservation", {"max_so": -5}),
+            ("trivial-rho-diagrams", {"max_n": 0}),
+        ],
+    )
+    def test_grid_selecting_no_case_is_2(self, capsys, tmp_path, suite, bounds):
+        # A suite that checked nothing used to print "0 cases  PASS" and exit 0.
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({suite: bounds}))
+        for mode in ("--json", "--table"):
+            code, out, err = run_cli(capsys, "selftest", "--grids", str(grids), "--suite", suite, mode)
+            assert (code, out) == (2, "")
+            assert err == f"error: the bounds of {suite!r} select no case; nothing was checked\n"
+
     def test_partial_grid_override_keeps_other_defaults(self, capsys, tmp_path):
         def cases(bounds):
             grids = tmp_path / "grids.json"
@@ -454,6 +472,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"has {limit} digits or more" in err
 
+    def test_cohomology_n_past_the_bound_is_2(self, capsys):
+        # A 31-digit --n ended in an OverflowError traceback; 2 000 000 wrote
+        # 29 MB of zero weights.  The bound is checked before any weight.
+        from sobranch.cli import MAX_COHOMOLOGY_N
+
+        for n in (MAX_COHOMOLOGY_N + 1, 2_000_000, 10**30):
+            for mode in ("--json", "--table"):
+                code, out, err = run_cli(capsys, "cohomology", "--n", str(n), "--i", "1", "--j", "1",
+                                         mode)
+                assert (code, out) == (2, "")
+                assert err == f"error: cohomology --n must be at most {MAX_COHOMOLOGY_N}, got {n}\n"
+        code, out, err = run_cli(capsys, "cohomology", "--n", str(MAX_COHOMOLOGY_N), "--i", "1",
+                                 "--j", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["nonzero"] is False
+
     def test_period_at_height_zero_is_immediate(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")
@@ -540,7 +574,7 @@ LANGLANDS = [
     "sigma=;lambda=2", "sigma=1;lambda=2", "sigma=2,0;lambda=x", "weight=1,1,0;sig=-",
     "weight=1,1", "delta=+", "x",
 ]
-INTS = ["0", "1", "2", "3", "4", "-1", "x", "1.5"]
+INTS = ["0", "1", "2", "3", "4", "-1", "x", "1.5", "1" + "0" * 30]
 FLAG_VALUES = {
     "--group": GROUPS, "--target": GROUPS,
     "--weight": WEIGHTS, "--subweight": WEIGHTS, "--coeff": WEIGHTS, "--subcoeff": WEIGHTS,

@@ -138,6 +138,25 @@ class TestSuites:
             f"bound trivial-rho-diagrams.max_n must be an integer, got {value!r}"
         )
 
+    @pytest.mark.parametrize(
+        "suite, bounds",
+        [
+            ("dim-conservation", {"max_so": 1}),
+            ("dim-conservation", {"max_entry": -1}),
+            ("roundtrip", {"max_group": 1}),
+            ("height-consistency", {"max_entry": -1}),
+            ("trivial-rho-diagrams", {"max_n": 1}),
+            ("chi-twist", {"max_group": 2}),
+            ("chi-twist", {"max_entry": -1}),
+            ("height0-vs-finite", {"max_group": 2}),
+        ],
+    )
+    def test_grid_without_cases(self, suite, bounds):
+        # A grid that selects no case used to pass with 0 cases.
+        with pytest.raises(OutOfRangeError) as exc:
+            run_suite(suite, bounds)
+        assert str(exc.value) == f"the bounds of {suite!r} select no case; nothing was checked"
+
     @pytest.mark.parametrize("bounds", [[("max_n", 3)], "max_n", 5])
     def test_bounds_not_a_dict(self, bounds):
         with pytest.raises(OutOfRangeError) as exc:
@@ -242,6 +261,25 @@ def _twist_leaving_grid(e):
     return EnhancedParam(e.group, s, t.height, t.sig)
 
 
+_P, _M, _B = Signature.PLUS, Signature.MINUS, Signature.BOTH
+_THREE_CYCLES = {
+    2: {(0, _P): (0, _M), (0, _M): (1, _B), (1, _B): (0, _P)},
+    3: {},
+    "above": {(0, _P): (0, _M), (0, _M): (1, _P), (1, _P): (0, _P), (1, _M): (1, _M)},
+}
+
+
+def _three_cycle_twist(e):
+    """A twist that moves each parameter within its weight's block, the same
+    way in every block, but is not an involution.  On SO(2,1) it cycles
+    (0, +) -> (0, -) -> (1, pm), on SO(3,1) it is chi_-, and from SO(4,1) up
+    it cycles (0, +) -> (0, -) -> (1, +) and fixes (1, -).  So at N = 3 the
+    small twin is no involution but the big one is, and at N = 4 the other
+    way round."""
+    state = _THREE_CYCLES.get(e.group.N, _THREE_CYCLES["above"]).get((e.height, e.sig))
+    return twist_chi_minus(e) if state is None else EnhancedParam(e.group, e.s, *state)
+
+
 class TestChiTwistDifferential:
     BOUNDS = {"max_group": 7, "max_entry": 2}
 
@@ -251,8 +289,9 @@ class TestChiTwistDifferential:
             (None, None, None, False),
             (branching, "_states_match", _plus_matches_every_state, True),
             (oracle, "twist_chi_minus", _twist_leaving_grid, True),
+            (oracle, "twist_chi_minus", _three_cycle_twist, True),
         ],
-        ids=["engine", "broken-multiplicity", "twist-leaves-grid"],
+        ids=["engine", "broken-multiplicity", "twist-leaves-grid", "twist-three-cycle"],
     )
     def test_matches_per_pair_reference(self, monkeypatch, module, name, fn, broken):
         if module is not None:
