@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from importlib import resources
-from itertools import combinations_with_replacement, compress, groupby, product
+from itertools import combinations_with_replacement, compress, product
 from operator import ne
 from typing import Callable, Iterator, Sequence
 
@@ -140,6 +140,8 @@ def compact_branch_so(N: int, lam: Sequence[int]) -> list[tuple[int, ...]]:
 
 def so_weights(N: int, max_entry: int) -> Iterator[tuple[int, ...]]:
     """All compact SO(N) highest weights with |entries| bounded, lex decreasing."""
+    if max_entry < 0:  # no weight; itertools would still allocate N // 2 slots to find none
+        return
     for w in combinations_with_replacement(range(max_entry, -1, -1), N // 2):
         yield w
         if N % 2 == 0 and w and w[-1] > 0:  # its mirror, the negated last entry
@@ -148,6 +150,8 @@ def so_weights(N: int, max_entry: int) -> Iterator[tuple[int, ...]]:
 
 def grid_weights(group: GroupTag, max_entry: int) -> Iterator[Weight]:
     """All theta-weights for SO(N,1) with entries bounded, self-dual when N is odd."""
+    if max_entry < 0:  # as in so_weights
+        return
     free = group.rank - (0 if group.is_even else 1)
     for body in combinations_with_replacement(range(max_entry, -1, -1), free):
         yield Weight(body if group.is_even else body + (0,))
@@ -272,29 +276,11 @@ def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, _Failures]:
 def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     """Twisting both sides by chi_- leaves every multiplicity unchanged.
 
-    Each big parameter's row over the small grid, from ``multiplicity_rows``,
-    is compared with its twin: the row of the twisted big parameter read at
-    the twisted smalls.  The twist keeps the theta-weight and the grid lists
-    each weight's parameters together, so the twin row is looked for in the
-    block of rows of the same weight, and one block is held at a time.  The
-    big grid of N is the small grid of N + 1, so each grid is built once.
-
-    The grid lists S states per weight, and the twist moves a small only
-    within its block of S, the same way in every block: twin[q] is
-    q - q % S + twin[q % S].  That is checked once per N.  When it holds and
-    the twin row is in the block, the rows are compared by S strided slices,
-    own[k::S] == trow[twin[k]::S], and the twisted row is built only on a
-    mismatch, to list the failing smalls; otherwise (an engine bug) the
-    twisted row is evaluated directly.
-
-    chi_- is an involution, so when the state twin is one too (also checked
-    once per N) the comparison of B with its twin tB and that of tB with B
-    test the same equalities: own_B[q] == row_tB[twin[q]] for every q is
-    row_tB[q'] == own_B[twin[q']] for q' = twin[q].  So once B passed against
-    tB, the comparison of tB is skipped when tB's twin is B; its cases are
-    still counted.  A failure compares both rows in full, so the failures,
-    listed in big-parameter order with those past the kept ones only
-    counted, are the per-pair check's.
+    The per-pair check a row at a time: the row of each big parameter over
+    the small grid, from ``multiplicity_rows``, equals the row of its twist
+    over the twisted smalls, and a mismatch lists the smalls where they
+    differ.  The big grid of N is the small grid of N + 1, so each grid is
+    built once.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
@@ -304,42 +290,16 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
         if small_params is None:
             small_params = grid_enhanced(GroupTag(N - 1), max_entry)
         big_params = grid_enhanced(GroupTag(N), max_entry)
-        position = {p: i for i, p in enumerate(small_params)}
-        twin = [position.get(twist_chi_minus(p)) for p in small_params]
-        S = len({(p.height, p.sig) for p in small_params})
-        blockwise = (
-            None not in twin
-            and S > 0
-            and len(twin) % S == 0
-            and all(t == q - q % S + twin[q % S] for q, t in enumerate(twin))
-        )
-        involution = blockwise and all(twin[twin[k]] == k for k in range(S))
-        rows = zip(big_params, multiplicity_rows(big_params, small_params))
-        for _, block in groupby(rows, lambda pair: pair[0].s):
-            block = list(block)
-            at = {b: i for i, (b, _) in enumerate(block)}
-            passed = {}  # row index -> the index of the twin row it passed against
-            for i, (big, own) in enumerate(block):
-                cases += len(own)
-                tbig = twist_chi_minus(big)
-                j = at.get(tbig)
-                if blockwise and j is not None:
-                    if involution and passed.get(j) == i:
-                        continue
-                    trow = block[j][1]
-                    if all(own[k::S] == trow[twin[k]::S] for k in range(S)):
-                        passed[i] = j
-                        continue
-                    twisted = trow[:]
-                    for k in range(S):
-                        twisted[k::S] = trow[twin[k]::S]
-                else:
-                    twisted = [multiplicity(tbig, twist_chi_minus(q)) for q in small_params]
-                if own != twisted:
-                    failures.add(
-                        list(compress(small_params, map(ne, own, twisted))),
-                        lambda small: {"big": repr(big), "small": repr(small)},
-                    )
+        own_rows = multiplicity_rows(big_params, small_params)
+        twisted_smalls = [twist_chi_minus(q) for q in small_params]
+        twisted_rows = multiplicity_rows(map(twist_chi_minus, big_params), twisted_smalls)
+        for big, own, twisted in zip(big_params, own_rows, twisted_rows):
+            cases += len(own)
+            if own != twisted:
+                failures.add(
+                    list(compress(small_params, map(ne, own, twisted))),
+                    lambda small: {"big": repr(big), "small": repr(small)},
+                )
         small_params = big_params
     return cases, failures
 

@@ -128,9 +128,6 @@ class Weight(Ordered):
     def rank(self) -> int:
         return len(self.entries)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def to_json(self) -> list[int]:
         return list(self.entries)
 

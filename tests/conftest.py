@@ -31,7 +31,7 @@ from sobranch.reps import (
     Signature,
     TemperedPS,
 )
-from sobranch.weights import validate_weight
+from sobranch.weights import validate_weight, zero_weight
 
 
 def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, ...]]:
@@ -183,7 +183,7 @@ def reference_chain(big, target, psi):
 
     def search(node):
         if node.group.N == target.N:
-            chi = node.height == 0 and node.s.is_zero() and node.sig is psi
+            chi = node.height == 0 and node.s == zero_weight(node.group.rank) and node.sig is psi
             return (node,) if chi else None
         if node in memo:
             return memo[node]

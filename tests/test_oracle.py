@@ -1,4 +1,5 @@
 import ast
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -157,6 +158,17 @@ class TestSuites:
             run_suite(suite, bounds)
         assert str(exc.value) == f"the bounds of {suite!r} select no case; nothing was checked"
 
+    def test_negative_entry_bound_is_refused_at_once(self):
+        # so_weights used to allocate N // 2 slots per N for its empty stream,
+        # so this grid, quadratic in max_so, did not finish in 60 s.
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError) as exc:
+            run_suite("dim-conservation", {"max_so": 10**6, "max_entry": -1})
+        assert time.perf_counter() - start < 5
+        assert str(exc.value) == (
+            "the bounds of 'dim-conservation' select no case; nothing was checked"
+        )
+
     @pytest.mark.parametrize("bounds", [[("max_n", 3)], "max_n", 5])
     def test_bounds_not_a_dict(self, bounds):
         with pytest.raises(OutOfRangeError) as exc:
@@ -243,6 +255,18 @@ def test_oracle_imports_no_private_engine_name():
     assert private == []
 
 
+def test_package_has_no_assert_statement():
+    # Invariants raise package errors, which survive python -O; assert does not.
+    package = Path(oracle.__file__).parent
+    asserts = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 _engine_states_match = branching._states_match
 
 
@@ -310,8 +334,8 @@ class TestChiTwistDifferential:
 
     def test_twist_that_also_swaps_two_weights(self, monkeypatch):
         # An in-grid twist that also exchanges the blocks of the zero weight
-        # and (1, 0, ..) is a permutation of the grid but not blockwise, so
-        # the suite evaluates every twisted row directly.
+        # and (1, 0, ..): the twisted smalls are a permutation of the grid out
+        # of its order, which the second stream reads like any other smalls.
         def swapping_twist(e):
             t = twist_chi_minus(e)
             zero, first = (0,) * e.s.rank, (1,) + (0,) * (e.s.rank - 1)
@@ -391,12 +415,15 @@ class TestChiTwistDifferential:
         assert failures.total == len(ref_failures) > oracle.KEPT_FAILURES
         assert len(calls) == 2 * oracle.KEPT_FAILURES
 
-    def test_each_case_evaluated_once(self, monkeypatch):
-        # Each case is one entry of one row, and each big row is produced once.
-        produced = []
+    def test_rows_of_the_grid_and_of_its_twist(self, monkeypatch):
+        # Every case is read from two streams of rows, the grid's and the
+        # twisted grid's, taken in step; no case is evaluated outside them.
+        streams = []
 
         def recorded(bigs, smalls):
             bigs = list(bigs)
+            produced = []
+            streams.append(produced)
             for big, row in zip(bigs, multiplicity_rows(bigs, smalls)):
                 produced.append((big, len(row)))
                 yield row
@@ -413,5 +440,9 @@ class TestChiTwistDifferential:
             for N in range(3, self.BOUNDS["max_group"] + 1)
             for e in oracle.grid_enhanced(GroupTag(N), self.BOUNDS["max_entry"])
         ]
-        assert [big for big, _ in produced] == grid
-        assert sum(n for _, n in produced) == cases
+        own, twisted = streams[0::2], streams[1::2]
+        assert [big for stream in own for big, _ in stream] == grid
+        assert [big for stream in twisted for big, _ in stream] == [
+            twist_chi_minus(b) for b in grid
+        ]
+        assert sum(n for stream in own for _, n in stream) == cases

@@ -68,7 +68,7 @@ class TestAqRecognition:
             for i in range(group.top_height + 1):
                 sig = B if group.is_even and i == group.top_height else P
                 aq = is_aq_lambda(EnhancedParam(group, zero_weight(group.rank), i, sig))
-                assert aq is not None and aq.i == i and aq.lambda_part.is_zero()
+                assert aq is not None and aq.i == i and aq.lambda_part == zero_weight(i)
 
     def test_rejects_nonzero_tail(self):
         assert is_aq_lambda(E(5, (1, 1, 0), 1, M)) is None

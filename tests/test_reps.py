@@ -22,6 +22,7 @@ from sobranch import (
     signature,
     standard_sequence,
     twist_chi_minus,
+    zero_weight,
 )
 from sobranch.errors import (
     InvalidDescriptorError,
@@ -197,7 +198,7 @@ class TestConversions:
             sigma = Weight((0,) * (group.n // 2))
             for delta in (P, M):
                 e = enhanced_from_langlands(Nontempered(group, sigma, delta, 0))
-                assert e.s.is_zero() and e.height == 0 and e.sig is delta
+                assert e.s == zero_weight(group.rank) and e.height == 0 and e.sig is delta
 
     def test_example_height_one(self):
         e = enhanced_from_langlands(Nontempered(GroupTag(5), W(1, 0), M, 1))
