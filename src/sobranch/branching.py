@@ -34,7 +34,9 @@ from .reps import (
     theta_param_str,
 )
 from .values import Value, store
-from .weights import GroupTag, Weight, check_weight, enumerate_interlacing, interlaces
+from .weights import (
+    GroupTag, Weight, check_weight, count_interlacing, enumerate_interlacing, interlaces
+)
 
 
 class Arrow(Value):
@@ -83,12 +85,10 @@ def finite_dim_branch(
     """
     check_weight(lam, group)
     sub = group.subgroup
-    flag_needed = not sub.is_even  # subgroup weights need a trailing zero
-    out = []
-    for nu in enumerate_interlacing(lam, sub.rank):
-        self_dual = not flag_needed or nu.entries[-1] == 0
-        out.append(FiniteDimComponent(nu, delta, self_dual))
-    return out
+    return [
+        FiniteDimComponent(nu, delta, not any(nu.entries[sub.free_rank:]))
+        for nu in enumerate_interlacing(lam, sub.rank)
+    ]
 
 
 def _states_match(height: int, sig: Signature, sub_height: int, sub_sig: Signature) -> bool:
@@ -188,18 +188,26 @@ def branch_states(
 def branch_enumerate(big: EnhancedParam) -> Iterator[EnhancedParam]:
     """All subgroup parameters occurring in the restriction of ``big``.
 
-    Streams the cross product of the interlacing weights (lexicographically
-    decreasing) with the admissible (height, signature) pairs of
-    ``branch_states``; discrete-series targets appear once, with the
-    wildcard signature.
+    Streams, without filtering, the cross product of the interlacing weights
+    (lexicographically decreasing) with the admissible (height, signature)
+    pairs of ``branch_states``; discrete-series targets appear once, with
+    the wildcard signature.  The weights are enumerated on the subgroup's
+    ``free_rank`` entries, and on an odd subgroup padded with its trailing 0.
     """
     sub = big.group.subgroup
     states = branch_states(sub, big.height, big.sig)
-    for nu in enumerate_interlacing(big.s, sub.rank):
-        if not sub.is_even and nu.entries[-1] != 0:
-            continue  # outside the self-dual family for the subgroup
+    nus = enumerate_interlacing(big.s, sub.free_rank)
+    if sub.rank > sub.free_rank:
+        nus = (Weight(nu.entries + (0,)) for nu in nus)
+    for nu in nus:
         for h, sig in states:
             yield EnhancedParam(sub, nu, h, sig)
+
+
+def branch_count(big: EnhancedParam) -> int:
+    """Closed-form length of the ``branch_enumerate`` stream of ``big``."""
+    sub = big.group.subgroup
+    return count_interlacing(big.s, sub.free_rank) * len(branch_states(sub, big.height, big.sig))
 
 
 def sb_diagram(

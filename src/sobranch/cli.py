@@ -38,7 +38,7 @@ from .reps import (
     standard_sequence,
     theta_param_str,
 )
-from .weights import GroupTag, Weight, validate_weight
+from .weights import GroupTag, Weight, count_interlacing, validate_weight
 
 
 def _check_digits(values: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -240,7 +240,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def _cmd_branch(args: argparse.Namespace) -> int:
-    from .branching import branch_enumerate, multiplicity
+    from .branching import branch_count, branch_enumerate, multiplicity
 
     group = GroupTag.parse(args.group)
     big = parse_enhanced(group, args.enhanced)
@@ -256,6 +256,8 @@ def _cmd_branch(args: argparse.Namespace) -> int:
         }
         _emit(args, payload, f"multiplicity {m}")
         return 0
+    if branch_count(big) > MAX_BRANCH_TARGETS:
+        raise OutOfRangeError(f"branch would list more than {MAX_BRANCH_TARGETS} targets")
     targets = list(branch_enumerate(big))
     payload = {
         "group": str(group),
@@ -275,6 +277,8 @@ def _cmd_branch_fd(args: argparse.Namespace) -> int:
     group = GroupTag.parse(args.group)
     lam = validate_weight(_parse_csv_ints(args.weight), group)
     delta = Signature.parse(args.delta)
+    if count_interlacing(lam, group.subgroup.rank) > MAX_BRANCH_TARGETS:
+        raise OutOfRangeError(f"branch-fd would list more than {MAX_BRANCH_TARGETS} components")
     comps = finite_dim_branch(group, lam, delta)
     payload = {
         "group": str(group),
@@ -390,6 +394,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 # The largest ``cohomology --n``: the answer lists zero weights of rank about
 # n/2, so its size grows with n.
 MAX_COHOMOLOGY_N = 10_000
+# The most targets ``branch`` (list mode) or components ``branch-fd`` lists;
+# both sizes are closed forms, checked before anything is enumerated.
+MAX_BRANCH_TARGETS = 50_000
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:

@@ -269,10 +269,10 @@ def distinguishing_chain(
 
     The search returns None at once when ``big`` fails the test.  Otherwise
     each node is built from a formula, with t' the steps left after it and
-    r the subgroup rank: its weight keeps the first min(t', r) entries of
-    the parent's (min(t', r - 1) on an odd subgroup, whose last entry must
-    be 0) and is 0 after them, and its (height, signature) is the first
-    pair of ``branch_states`` that still reaches (0, psi) in t' steps.
+    f the subgroup's ``free_rank``: its weight keeps the first min(t', f)
+    entries of the parent's and is 0 after them, and its (height,
+    signature) is the first pair of ``branch_states`` that still reaches
+    (0, psi) in t' steps.
     That is the first feasible target ``branch_enumerate`` would yield
     (weights lexicographically decreasing, states inner), so the witness is
     the lexicographically first chain, and it costs N - M node
@@ -291,7 +291,7 @@ def distinguishing_chain(
     for left in range(steps - 1, -1, -1):
         node = chain[-1]
         sub = node.group.subgroup
-        keep = min(left, sub.rank if sub.is_even else sub.rank - 1)
+        keep = min(left, sub.free_rank)
         nu = Weight(node.s.entries[:keep] + (0,) * (sub.rank - keep))
         h, sig = next(
             state for state in branch_states(sub, node.height, node.sig) if state in good[left]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from math import prod
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -38,6 +39,8 @@ class GroupTag(Ordered):
     * ``n = N - 1``, the dimension parameter of the maximal compact part;
     * ``rank = (N + 1) // 2``, the number of entries of a highest weight or
       theta-weight;
+    * ``free_rank = N // 2``, the entries of a theta-weight that may be
+      nonzero (for N odd the last entry is 0: self-duality);
     * ``top_height = N // 2``, the largest height, attained exactly by the
       tempered parameters;
     * ``is_even``, whether N is even.
@@ -46,7 +49,7 @@ class GroupTag(Ordered):
     are built afresh and never equal a ``GroupTag``.
     """
 
-    __slots__ = ("N", "n", "rank", "top_height", "is_even")
+    __slots__ = ("N", "n", "rank", "free_rank", "top_height", "is_even")
 
     def __new__(cls, N: int) -> "GroupTag":
         # The type test comes first: 5.0 and True would find the entry of 5 and 1.
@@ -64,6 +67,7 @@ class GroupTag(Ordered):
         store(g, "N", N)
         store(g, "n", N - 1)
         store(g, "rank", (N + 1) // 2)
+        store(g, "free_rank", N // 2)
         store(g, "top_height", N // 2)
         store(g, "is_even", N % 2 == 0)
         # setdefault: a thread that lost a race still returns the shared object
@@ -200,7 +204,8 @@ def check_weight(w: Weight, group: GroupTag) -> Weight:
         raise WrongRankError(
             f"weight {w} has rank {w.rank}, but {group} needs rank {group.rank}"
         )
-    if not group.is_even and w.entries[-1] != 0:
+    # Entries decrease, so the first one past free_rank is the largest of them.
+    if group.free_rank < group.rank and w.entries[group.free_rank]:
         raise NotSelfDualError(
             f"weight {w} for {group}: trailing entry must vanish when N is odd"
         )
@@ -259,39 +264,33 @@ def interlaces(mu: Weight, nu: Weight) -> bool:
     return True
 
 
-def enumerate_interlacing(mu: Weight, target_rank: int) -> Iterator[Weight]:
-    """Yield every nu of the given rank interlacing mu, lexicographically decreasing.
+def _interlacing_ranges(mu: Weight, target_rank: int) -> list[range]:
+    """Entry k of a nu of the given rank interlacing mu ranges independently
+    over mu_k down to mu_{k+1} (0 beyond the end of mu), decreasing.
 
-    Entry k ranges independently over [lower_k, upper_k] with upper_k = mu_k
-    and lower_k = mu_{k+1} (0 beyond the end of mu), so the stream has
-    exactly prod_k (upper_k - lower_k + 1) elements.
+    The target rank must be rank(mu) or rank(mu) - 1.
     """
-    p = mu.rank
+    m = mu.entries
+    p = len(m)
     if target_rank not in (p, p - 1):
         raise RankMismatchError(
             f"target rank {target_rank} must be {p} or {p - 1} for mu of rank {p}"
         )
-    ranges = []
-    for k in range(target_rank):
-        upper = mu.entries[k]
-        lower = mu.entries[k + 1] if k + 1 < p else 0
-        ranges.append(range(upper, lower - 1, -1))
-    for combo in product(*ranges):
+    return [range(m[k], (m[k + 1] if k + 1 < p else 0) - 1, -1) for k in range(target_rank)]
+
+
+def enumerate_interlacing(mu: Weight, target_rank: int) -> Iterator[Weight]:
+    """Yield every nu of the given rank interlacing mu, lexicographically
+    decreasing: the product of the ranges of ``_interlacing_ranges``."""
+    for combo in product(*_interlacing_ranges(mu, target_rank)):
         yield Weight(combo)
 
 
 def count_interlacing(mu: Weight, target_rank: int) -> int:
-    """Closed-form size of the enumerate_interlacing stream."""
-    p = mu.rank
-    if target_rank not in (p, p - 1):
-        raise RankMismatchError(
-            f"target rank {target_rank} must be {p} or {p - 1} for mu of rank {p}"
-        )
-    total = 1
-    for k in range(target_rank):
-        lower = mu.entries[k + 1] if k + 1 < p else 0
-        total *= mu.entries[k] - lower + 1
-    return total
+    """Closed-form size of the enumerate_interlacing stream: the product of
+    the lengths of the ranges of ``_interlacing_ranges``."""
+    # r.start - r.stop, not len(r), which overflows past sys.maxsize
+    return prod(r.start - r.stop for r in _interlacing_ranges(mu, target_rank))
 
 
 def weyl_dim(N: int, lam: Sequence[int]) -> int:

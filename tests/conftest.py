@@ -200,6 +200,23 @@ def reference_chain(big, target, psi):
     return None if found is None else list(found)
 
 
+def reference_branch_enumerate(big):
+    """The filter-after-enumeration body that ``branch_enumerate`` replaced,
+    kept as its reference: every interlacing weight of the subgroup's full
+    rank, dropping those outside its self-dual family (an odd subgroup's
+    weights end in 0)."""
+    from sobranch.branching import branch_states
+    from sobranch.weights import enumerate_interlacing
+
+    sub = big.group.subgroup
+    states = branch_states(sub, big.height, big.sig)
+    for nu in enumerate_interlacing(big.s, sub.rank):
+        if not sub.is_even and nu.entries[-1] != 0:
+            continue
+        for h, sig in states:
+            yield EnhancedParam(sub, nu, h, sig)
+
+
 def reference_greedy_chain(big, target, psi):
     """The greedy descent that ``distinguishing_chain`` replaced with a
     closed-form node, kept as its reference: the same feasibility test, then

@@ -22,7 +22,7 @@ from sobranch import (
     twist_chi_minus,
     zero_weight,
 )
-from sobranch.branching import diagram_to_json, multiplicity_rows
+from sobranch.branching import branch_count, diagram_to_json, multiplicity_rows
 from sobranch.errors import (
     GroupMismatchError,
     NotInterlacingError,
@@ -32,6 +32,7 @@ from sobranch.oracle import grid_enhanced, grid_weights
 from sobranch.reps import enhanced_params
 
 from conftest import (
+    reference_branch_enumerate,
     reference_multiplicity,
     reference_standard_sequence,
     theta_weights,
@@ -323,6 +324,30 @@ class TestBranchEnumerate:
         # From SO(4,1) the subgroup is SO(3,1); targets must end in 0.
         for t in branch_enumerate(E(4, (2, 2), 1, P)):
             assert t.s.entries[-1] == 0
+
+    def test_matches_the_filtering_reference(self):
+        # The unfiltered stream, in order, and its closed-form length.
+        bigs = [big for N in range(3, 12) for big in grid_enhanced(GroupTag(N), 4)]
+        bigs += enhanced_params(GroupTag(6), W(40, 20, 10))
+        bigs.append(E(6, (120, 60, 30), 0, P))
+        for big in bigs:
+            got = list(branch_enumerate(big))
+            assert got == list(reference_branch_enumerate(big)), big
+            assert branch_count(big) == len(got), big
+
+    def test_odd_subgroup_draws_only_self_dual_weights(self, monkeypatch):
+        # Every weight drawn is a target: a filter would draw 58 621 here.
+        drawn = []
+        real = branching.enumerate_interlacing
+
+        def counting(mu, target_rank):
+            for nu in real(mu, target_rank):
+                drawn.append(nu)
+                yield nu
+
+        monkeypatch.setattr(branching, "enumerate_interlacing", counting)
+        got = list(branch_enumerate(E(6, (120, 60, 30), 0, P)))
+        assert len(drawn) == len(got) == 1891
 
     def test_stream_decision_agreement(self):
         for N in (3, 4, 5, 6):

@@ -488,6 +488,34 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["nonzero"] is False
 
+    @pytest.mark.parametrize("argv, what", [
+        (["branch", "--group", "SO(5,1)", "--enhanced", f"1{'0' * 29},0,0;h=0;sig=+"], "targets"),
+        (["branch-fd", "--group", "SO(5,1)", "--weight", f"1{'0' * 29},0,0", "--delta", "+"],
+         "components"),
+    ])
+    def test_branch_output_past_the_bound_is_2(self, capsys, argv, what):
+        # Listing 10^30 + 1 weights would never end; the closed-form size is
+        # checked before anything is enumerated.
+        from sobranch.cli import MAX_BRANCH_TARGETS
+
+        for mode in ("--json", "--table"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, mode)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err == f"error: {argv[0]} would list more than {MAX_BRANCH_TARGETS} {what}\n"
+
+    def test_branch_bound_is_inclusive(self, capsys, monkeypatch):
+        import sobranch.cli as cli
+
+        branch = ["branch", "--group", "SO(5,1)", "--enhanced", "1,1,0;h=1;sig=-"]
+        fd = ["branch-fd", "--group", "SO(4,1)", "--weight", "1,1", "--delta", "+"]
+        for argv, size in ((branch, 4), (fd, 2)):  # the call lists exactly size items
+            monkeypatch.setattr(cli, "MAX_BRANCH_TARGETS", size)
+            assert run_cli(capsys, *argv)[0] == 0
+            monkeypatch.setattr(cli, "MAX_BRANCH_TARGETS", size - 1)
+            assert run_cli(capsys, *argv)[:2] == (2, "")
+
     def test_period_at_height_zero_is_immediate(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")
@@ -568,6 +596,7 @@ ENHANCED = [
     "1,1,0;h=1;sig=-", "0,0;h=2;sig=pm", "0,0,0;h=1;sig=+", "0,0;h=1;sig=+", "1,0;h=1;sig=+",
     "2,0,0;h=1;sig=+", "1,1,0;h=0;sig=+", "1,1,0;h=x;sig=-", "0,0;h=2;sig=+", "0,0,0;h=3;sig=+",
     "h=1;sig=+", ";;", "x", *(entry + ";h=1;sig=+" for entry in AT_LIMIT),
+    f"1{'0' * 29},0,0;h=0;sig=+",  # past the branch output bound
 ]
 LANGLANDS = [
     "sigma=2,0;delta=+;lambda=0", "sigma=1,0;delta=+;lambda=0", "sigma=2;delta=+",

@@ -71,6 +71,7 @@ class TestGroupTag:
                 N, N - 1, (N + 1) // 2, N // 2, N % 2 == 0
             )
             assert type(g.is_even) is bool
+            assert g.free_rank == N // 2 == g.rank - (not g.is_even)
 
     def test_subclass_instances_are_not_shared(self):
         twin_cls = type("Twin", (GroupTag,), {})
@@ -244,6 +245,14 @@ class TestEnumerateInterlacing:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             list(enumerate_interlacing(W(1, 0), 3))
+        with pytest.raises(RankMismatchError):
+            count_interlacing(W(1, 0), 3)
+
+    def test_count_past_maxsize(self):
+        # len() of a range this long raises OverflowError
+        huge = 10**30
+        assert count_interlacing(W(huge, 0), 1) == huge + 1
+        assert count_interlacing(W(huge, 7, 0), 3) == (huge - 6) * 8
 
     @given(
         mu=st.lists(st.integers(0, 4), min_size=1, max_size=4),
