@@ -15,6 +15,7 @@ from math import factorial
 from pathlib import Path
 
 from sobranch import GroupTag, Weight, branch_enumerate, interlaces, multiplicity
+from sobranch.branching import branch_states
 from sobranch.errors import (
     GroupMismatchError,
     InvalidDescriptorError,
@@ -31,7 +32,7 @@ from sobranch.reps import (
     Signature,
     TemperedPS,
 )
-from sobranch.weights import validate_weight, zero_weight
+from sobranch.weights import enumerate_interlacing, validate_weight, zero_weight
 
 
 def brute_interlacing(mu: tuple[int, ...], target_rank: int) -> list[tuple[int, ...]]:
@@ -205,9 +206,6 @@ def reference_branch_enumerate(big):
     kept as its reference: every interlacing weight of the subgroup's full
     rank, dropping those outside its self-dual family (an odd subgroup's
     weights end in 0)."""
-    from sobranch.branching import branch_states
-    from sobranch.weights import enumerate_interlacing
-
     sub = big.group.subgroup
     states = branch_states(sub, big.height, big.sig)
     for nu in enumerate_interlacing(big.s, sub.rank):
