@@ -283,6 +283,4 @@ def gp_tempered_check(big: TemperedPS, small: DiscreteSeries) -> bool:
         raise NotTemperedError(f"expected a tempered principal series, got {big!r}")
     if not isinstance(small, DiscreteSeries):
         raise NotTemperedError(f"expected a discrete series, got {small!r}")
-    if small.group.N != big.group.N - 1:
-        raise _mismatch_error(big, small)
     return multiplicity(enhanced_from_langlands(big), enhanced_from_langlands(small)) == 1

@@ -168,6 +168,7 @@ def _emit(args: argparse.Namespace, payload: dict, table_text: str | None = None
 def _cmd_classify(args: argparse.Namespace) -> int:
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
+    _check_answer_size("classify", (group.n + 2) * group.rank)
     descriptors = classify(group, s)
     items = []
     rows = []
@@ -226,6 +227,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     sig0 = Signature.parse(args.sig0)
+    _check_answer_size("hasse", (group.top_height + 1) * group.rank)
     seq = (standard_sequence if args.standard else hasse_sequence)(group, s, sig0)
     payload = {
         "group": str(group),
@@ -302,6 +304,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     s = validate_weight(_parse_csv_ints(args.weight), group)
     s_sub = validate_weight(_parse_csv_ints(args.subweight), group.subgroup)
     sig = Signature.parse(args.sig)
+    _check_answer_size("diagram", sum((g.top_height + 1) * g.rank for g in (group, group.subgroup)))
     payload = diagram_to_json(group, s, s_sub, sig)
     _emit(args, payload, render_diagram(group, s, s_sub, sig))
     return 0
@@ -397,6 +400,16 @@ MAX_COHOMOLOGY_N = 10_000
 # The most targets ``branch`` (list mode) or components ``branch-fd`` lists;
 # both sizes are closed forms, checked before anything is enumerated.
 MAX_BRANCH_TARGETS = 50_000
+# The most weight entries (members times rank) ``classify``, ``hasse`` or
+# ``diagram`` lists; the answer grows as the square of the group's rank.
+MAX_ANSWER_ENTRIES = 250_000
+
+
+def _check_answer_size(command: str, entries: int) -> None:
+    """Refuse an answer of more than ``MAX_ANSWER_ENTRIES`` weight entries,
+    counted in closed form before any member is built."""
+    if entries > MAX_ANSWER_ENTRIES:
+        raise OutOfRangeError(f"{command} would list more than {MAX_ANSWER_ENTRIES} weight entries")
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .branching import _mismatch_error, multiplicity
+from .branching import multiplicity
 from .errors import OutOfRangeError
-from .reps import EnhancedParam, Signature
+from .reps import EnhancedParam, Signature, hasse_sequence
 from .values import Value, store
 from .weights import GroupTag, Weight, zero_weight
 
@@ -84,7 +84,12 @@ class PairingDescriptor(Value):
 def bilinear_nonzero_trivial_rho(n: int, i: int, delta: Signature, j: int) -> bool:
     """Whether the induced pairing in degree j is nonzero for the height-i pair.
 
-    True exactly when j equals i and delta equals (-1)^i.
+    The coefficient is the trivial module, so the pair is the height-i members
+    of the zero-weight Hasse sequences from '+' on SO(n+1,1) and SO(n,1): True
+    when delta is the big member's signature and ``bilinear_gate`` puts the
+    pair in degree j, which is j == i and delta == (-1)^i.  The gate pins only
+    the coefficient's weight and also accepts the twisted members: at n = 4,
+    i = 1, delta = '+' it gives degree 1 and this table none.  n < 2 raises.
     """
     if not 0 <= 2 * i <= n:
         raise OutOfRangeError(f"need 0 <= i <= n/2, got i={i}, n={n}")
@@ -92,8 +97,9 @@ def bilinear_nonzero_trivial_rho(n: int, i: int, delta: Signature, j: int) -> bo
         raise OutOfRangeError(f"need 0 <= j <= n, got j={j}")
     if delta is Signature.BOTH:
         raise OutOfRangeError("delta must be a definite sign")
-    wanted = Signature.PLUS if i % 2 == 0 else Signature.MINUS
-    return j == i and delta is wanted
+    big, small = (hasse_sequence(g, zero_weight(g.rank), Signature.PLUS)[i]
+                  for g in (GroupTag(n + 1), GroupTag(n)))
+    return big.sig is delta and bilinear_gate(big, small, big.s, small.s) == j
 
 
 def pairing_trivial_rho(
@@ -140,18 +146,16 @@ def bilinear_gate(
     Returns the common height when all three gate conditions hold, and
     None otherwise:
 
-    * each coefficient weight is the theta-weight of its parameter
-      (nonvanishing cohomology pins the coefficient module's highest weight
-      to the theta-weight; an extra character twist is out of scope);
+    * the branching multiplicity is 1 (``multiplicity`` raises for a
+      ``small`` off the rank-one subgroup, whatever the coefficients);
     * the heights agree;
-    * the branching multiplicity is 1.  With the coefficients pinned, this
-      already implies that the coefficients interlace and the signatures
-      match.
+    * each coefficient weight is the theta-weight of its parameter.  Only
+      the weight is pinned, so the coefficient may be F or F twisted by the
+      nontrivial character, and the twisted members pass too;
+      ``bilinear_nonzero_trivial_rho`` fixes the trivial coefficient.
     """
-    if small.group.N != big.group.N - 1:
-        raise _mismatch_error(big, small)
-    if coeff_big != big.s or coeff_small != small.s:
+    if multiplicity(big, small) != 1 or big.height != small.height:
         return None
-    if big.height != small.height or multiplicity(big, small) != 1:
+    if coeff_big != big.s or coeff_small != small.s:
         return None
     return big.height

@@ -247,8 +247,6 @@ def _suite_height_consistency(bounds: dict) -> tuple[int, _Failures]:
                 h_int = _height_by_intervals(d)
                 if h != h_int:
                     failures.append({"descriptor": repr(d), "insertion": h, "intervals": h_int})
-                if isinstance(d, FiniteDim) and h != 0:
-                    failures.append({"descriptor": repr(d), "insertion": h})
     return cases, failures
 
 

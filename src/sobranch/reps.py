@@ -27,7 +27,6 @@ from .errors import (
     InvalidDescriptorError,
     InvalidEnhancedError,
     InvariantError,
-    NotMonotoneError,
     SingularInfCharError,
     WrongRankError,
 )
@@ -334,11 +333,7 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
         raise InvalidDescriptorError(
             f"{d} does not match a self-dual finite-dimensional character"
         )
-    try:
-        weight = validate_weight(ent, group)
-    except NotMonotoneError as exc:  # pragma: no cover - blocked by construction
-        raise InvalidDescriptorError(str(exc)) from exc
-    return EnhancedParam(group, weight, h, sig)
+    return EnhancedParam(group, validate_weight(ent, group), h, sig)
 
 
 def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:

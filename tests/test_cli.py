@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sobranch.cli import main
 
@@ -516,6 +516,37 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "MAX_BRANCH_TARGETS", size - 1)
             assert run_cli(capsys, *argv)[:2] == (2, "")
 
+    @pytest.mark.parametrize("command", ["classify", "hasse", "diagram"])
+    def test_answer_past_the_bound_is_2(self, capsys, command):
+        # At SO(2001,1) these answers run to tens of megabytes; members times
+        # rank is checked before any member is built.
+        from sobranch.cli import MAX_ANSWER_ENTRIES
+
+        for mode in ("--json", "--table"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *HUGE_ANSWER[command], mode)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err == f"error: {command} would list more than {MAX_ANSWER_ENTRIES} weight entries\n"
+
+    @pytest.mark.parametrize("argv, weights", [
+        (["classify", "--group", "SO(4,1)", "--weight", "0,0"],
+         lambda data: [r["enhanced"]["weight"] for r in data["representations"]]),
+        (["hasse", "--group", "SO(5,1)", "--weight", "1,1,0"],
+         lambda data: [m["weight"] for m in data["members"]]),
+        (["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0"],
+         lambda data: [m["weight"] for m in data["top"] + data["bottom"]]),
+    ])
+    def test_answer_bound_is_inclusive(self, capsys, monkeypatch, argv, weights):
+        # The closed form counts exactly the weight entries the answer lists.
+        import sobranch.cli as cli
+
+        size = sum(map(len, weights(run_json(capsys, *argv))))
+        monkeypatch.setattr(cli, "MAX_ANSWER_ENTRIES", size)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_ANSWER_ENTRIES", size - 1)
+        assert run_cli(capsys, *argv)[:2] == (2, "")
+
     def test_period_at_height_zero_is_immediate(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "period", "--n", "1000000", "--i", "0")
@@ -529,6 +560,15 @@ class TestExitCodes:
             "--langlands", "sigma=1,0;delta=+;lambda=0",
         )
         assert code == 3
+
+
+# Calls whose answer would pass ``cli.MAX_ANSWER_ENTRIES``: SO(2001,1) has rank 1001.
+HUGE_ANSWER = {
+    "classify": ["classify", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001)],
+    "hasse": ["hasse", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001)],
+    "diagram": ["diagram", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001),
+                "--subweight", ",".join(["0"] * 1000)],
+}
 
 
 MALFORMED_ARGV = [
@@ -706,6 +746,16 @@ def run_in_process(argv):
 
 
 class TestArgvFuzz:
+    # The random stream rarely pairs a size refusal's input with its
+    # subcommand, so each refusal is also an explicit example.
+    @example(argv=["branch", "--group", "SO(5,1)", "--enhanced", f"1{'0' * 29},0,0;h=0;sig=+"])
+    @example(argv=["branch-fd", "--group", "SO(5,1)", "--weight", f"1{'0' * 29},0,0"])
+    @example(argv=["cohomology", "--n", "1000000", "--i", "1", "--j", "1"])
+    @example(argv=["period", "--n", "2000", "--i", "1000"])
+    @example(argv=["period", "--ktype", "--n", "1000000", "--i", "500000"])
+    @example(argv=HUGE_ANSWER["classify"])
+    @example(argv=HUGE_ANSWER["hasse"])
+    @example(argv=HUGE_ANSWER["diagram"])
     @given(argv=argvs())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_exit_contract(self, argv):

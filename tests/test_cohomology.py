@@ -7,12 +7,14 @@ from sobranch import (
     Weight,
     bilinear_gate,
     bilinear_nonzero_trivial_rho,
+    gp_tempered_check,
     multiplicity,
     pairing_trivial_rho,
     zero_weight,
 )
 from sobranch.errors import GroupMismatchError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
+from sobranch.reps import DiscreteSeries, TemperedPS
 
 from conftest import reference_bilinear_gate
 
@@ -80,6 +82,20 @@ class TestTrivialRhoTable:
         with pytest.raises(OutOfRangeError):
             bilinear_nonzero_trivial_rho(4, 1, B, 1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_subgroup_below_two(self, n):
+        # SO(n,1) does not exist for n < 2.
+        with pytest.raises(OutOfRangeError, match=r"^SO\(1,1\) not supported; need N >= 2$"):
+            bilinear_nonzero_trivial_rho(n, 0, P, 0)
+
+    def test_twisted_member_passes_the_gate_only(self):
+        # The gate pins only the coefficient's weight, so it accepts the
+        # height-1 '+' members, the twist of the trivial-coefficient pair;
+        # the table fixes the trivial coefficient and gives them no degree.
+        big, small = E(5, (0, 0, 0), 1, P), E(4, (0, 0), 1, P)
+        assert bilinear_gate(big, small, zero_weight(3), zero_weight(2)) == 1
+        assert not any(bilinear_nonzero_trivial_rho(4, 1, P, j) for j in range(5))
+
 
 class TestPairingDescriptor:
     def test_default_rendering(self):
@@ -139,6 +155,9 @@ class TestBilinearGate:
                 zero_weight(3),
                 zero_weight(2),
             )
+        # The group check does not depend on the coefficients.
+        with pytest.raises(GroupMismatchError, match=r"^SO\(3,1\) is not the rank-one subgroup"):
+            bilinear_gate(E(5, (0, 0, 0), 1, P), E(3, (0, 0), 1, P), W(1, 0, 0), W(2, 0))
 
     def test_gate_refines_period(self):
         for N in (3, 4, 5, 6):
@@ -164,3 +183,11 @@ class TestBilinearGate:
                         assert bilinear_gate(big, small, *coeffs) == reference_bilinear_gate(
                             big, small, *coeffs
                         ), (big, small, coeffs)
+
+
+def test_gp_tempered_check_group_mismatch():
+    big = TemperedPS(GroupTag(5), W(1, 1), P)
+    small = DiscreteSeries(GroupTag(2), W(), 1)
+    with pytest.raises(GroupMismatchError) as exc:
+        gp_tempered_check(big, small)
+    assert str(exc.value) == "SO(2,1) is not the rank-one subgroup of SO(5,1)"

@@ -20,7 +20,7 @@ from sobranch import (
 from sobranch.branching import finite_dim_branch, multiplicity_rows
 from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
-from sobranch.reps import Nontempered, twist_chi_minus
+from sobranch.reps import FiniteDim, Nontempered, twist_chi_minus
 
 from conftest import recursive_so_dim, reference_chi_twist, reference_so_weights, theta_weights
 
@@ -239,6 +239,22 @@ class TestHeightConsistency:
         assert report.failures[0] == {
             "descriptor": repr(d), "insertion": engine_height(d) + 1, "intervals": engine_height(d),
         }
+
+    def test_one_failure_per_bad_finite_dim_case(self, monkeypatch):
+        # A finite-dimensional descriptor given height 1 is one bad case,
+        # and it is counted once.
+        engine_height = oracle.height
+        patched = []
+
+        def finite_dim_at_one(d):
+            if isinstance(d, FiniteDim):
+                patched.append(d)
+                return 1
+            return engine_height(d)
+
+        monkeypatch.setattr(oracle, "height", finite_dim_at_one)
+        report = run_suite("height-consistency", {"max_group": 5, "max_entry": 1})
+        assert report.failures_total == len(patched) == 20
 
 
 def test_oracle_imports_no_private_engine_name():
