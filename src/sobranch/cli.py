@@ -376,6 +376,10 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     e = parse_enhanced(group, args.enhanced)
     target = GroupTag.parse(args.target)
     psi = Signature.parse(args.psi)
+    # A found chain lists the rank ceil(K/2) of each SO(K,1), K = M..N; the
+    # ranks for K = 1..x sum to ceil(x/2) * ceil((x+1)/2).
+    N, M = group.N, target.N
+    _check_answer_size("chain", (N + 1) // 2 * ((N + 2) // 2) - M // 2 * ((M + 1) // 2))
     chain = distinguishing_chain(e, target, psi)
     payload = {
         "group": str(group),

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .branching import multiplicity
 from .errors import OutOfRangeError
-from .reps import EnhancedParam, Signature, hasse_sequence
+from .reps import EnhancedParam, Signature, hasse_member
 from .values import Value, store
 from .weights import GroupTag, Weight, zero_weight
 
@@ -97,7 +97,7 @@ def bilinear_nonzero_trivial_rho(n: int, i: int, delta: Signature, j: int) -> bo
         raise OutOfRangeError(f"need 0 <= j <= n, got j={j}")
     if delta is Signature.BOTH:
         raise OutOfRangeError("delta must be a definite sign")
-    big, small = (hasse_sequence(g, zero_weight(g.rank), Signature.PLUS)[i]
+    big, small = (hasse_member(g, zero_weight(g.rank), Signature.PLUS, i)
                   for g in (GroupTag(n + 1), GroupTag(n)))
     return big.sig is delta and bilinear_gate(big, small, big.s, small.s) == j
 

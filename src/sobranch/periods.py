@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import Optional
 
 from .branching import branch_states
 from .errors import BadTargetError, NotAqLambdaError, OutOfRangeError
-from .reps import EnhancedParam, Signature, signatures_at
+from .reps import EnhancedParam, Signature
 from .values import Value, store
 from .weights import GroupTag, Weight
 
@@ -223,31 +222,23 @@ def distinguished_subgroup(e: EnhancedParam) -> GroupTag:
     return GroupTag(e.group.n + 1 - e.height)
 
 
-@lru_cache(maxsize=1024)
-def _chain_states(
-    N: int, height: int, M: int, psi: Signature
-) -> tuple[frozenset[tuple[int, Signature]], ...]:
-    """Entry k: the (height, signature) pairs on SO(M + k, 1) from which k
-    one-step branchings reach height 0 with sign ``psi``, for a chain that
-    starts at this height on SO(N, 1).
+def _reaches(N: int, h: int, sig: Signature, M: int, psi: Signature) -> bool:
+    """Whether (h, sig) on SO(N, 1) reaches (0, psi) on SO(M, 1) through
+    N - M one-step moves of ``branch_states``.
 
-    Built level by level from the target up to SO(N, 1) with the same rule
-    as ``branch_enumerate`` (``branch_states``).  Heights never grow along a
-    chain and drop by at most one per step, so only heights up to
-    min(k, height) are tried.  The table depends on nothing but the four
-    arguments, so it is cached.
+    A height drops by 0 or 1 per step, so h <= N - M is needed.  When the
+    signs already match (the wildcard matches either), it is enough: drop
+    the height each step until it is 0; every height on the way stays
+    admissible, and a discrete-series slot met on the way may leave with
+    either sign.  A definite sign changes only by passing through such a
+    slot, height K/2 on an even SO(K, 1): it is the wildcard, and the next
+    step picks the other sign.  From the slot the chain still has to drop
+    to height 0 on SO(M, 1), so K >= 2M; and it can reach the slot only if
+    K <= N - 1 (one step at least) and K/2 <= h (heights never grow).  An
+    even K with 2M <= K <= min(N - 1, 2h) exists exactly when M <= h and
+    2M < N.
     """
-    good = [frozenset({(0, psi)})]
-    for k in range(1, N - M + 1):
-        level, below = GroupTag(M + k), good[-1]
-        sub = level.subgroup
-        good.append(frozenset(
-            (h, sig)
-            for h in range(min(level.top_height, k, height) + 1)
-            for sig in signatures_at(level, h)
-            if any(state in below for state in branch_states(sub, h, sig))
-        ))
-    return tuple(good)
+    return h <= N - M and (sig.matches(psi) or (M <= h and 2 * M < N))
 
 
 def distinguishing_chain(
@@ -265,7 +256,9 @@ def distinguishing_chain(
     (a) weight: s_j = 0 for every 1-based j > t.  Taking nu_k = mu_(k+1)
         at each step is always admissible and componentwise minimal;
     (b) height and signature: the pair reaches (0, psi) on SO(M,1) through
-        the admissible one-step moves (a small table over (N, h, sig)).
+        the admissible one-step moves, decided in closed form by
+        ``_reaches``: h <= N - M, and either the signs match or the chain
+        can pass a discrete-series slot (M <= h and 2M < N).
 
     The search returns None at once when ``big`` fails the test.  Otherwise
     each node is built from a formula, with t' the steps left after it and
@@ -283,9 +276,9 @@ def distinguishing_chain(
         raise BadTargetError("psi must be a definite sign")
     if target.N > big.group.N:
         raise BadTargetError(f"{target} is not a subgroup of {big.group}")
-    good = _chain_states(big.group.N, big.height, target.N, psi)
-    steps = big.group.N - target.N
-    if any(big.s.entries[steps:]) or (big.height, big.sig) not in good[steps]:
+    M = target.N
+    steps = big.group.N - M
+    if any(big.s.entries[steps:]) or not _reaches(big.group.N, big.height, big.sig, M, psi):
         return None
     chain = [big]
     for left in range(steps - 1, -1, -1):
@@ -294,7 +287,8 @@ def distinguishing_chain(
         keep = min(left, sub.free_rank)
         nu = Weight(node.s.entries[:keep] + (0,) * (sub.rank - keep))
         h, sig = next(
-            state for state in branch_states(sub, node.height, node.sig) if state in good[left]
+            state for state in branch_states(sub, node.height, node.sig)
+            if _reaches(sub.N, *state, M, psi)
         )
         chain.append(EnhancedParam(sub, nu, h, sig))
     return chain

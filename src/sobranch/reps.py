@@ -365,17 +365,28 @@ def twist_chi_minus(e: EnhancedParam) -> EnhancedParam:
     return EnhancedParam(e.group, e.s, e.height, e.sig.flipped())
 
 
-def _sequence(group: GroupTag, s: Weight, sig0: Signature, step: int) -> list[EnhancedParam]:
-    """Members at heights 0..top of weight s, member i with signature
+def _member(group: GroupTag, s: Weight, sig0: Signature, step: int, i: int) -> EnhancedParam:
+    """Member i, 0 <= i <= top, of a sequence of weight s: height i and signature
     sig0 * (-1)^(step*i + s_1 - s_{i+1}), the wildcard at the discrete-series slot."""
+    if _BOTH in signatures_at(group, i):
+        return EnhancedParam(group, s, i, _BOTH)
+    return EnhancedParam(group, s, i, sig0.times_sign(step * i + s.entries[0] - s.entries[i]))
+
+
+def _sequence(group: GroupTag, s: Weight, sig0: Signature, step: int) -> list[EnhancedParam]:
+    """Members at heights 0..top of weight s (``_member``)."""
     _require_definite(sig0, "sig0")
     check_weight(s, group)
-    e = s.entries
-    return [
-        EnhancedParam(group, s, i, _BOTH if _BOTH in signatures_at(group, i)
-                      else sig0.times_sign(step * i + e[0] - e[i]))
-        for i in range(group.top_height + 1)
-    ]
+    return [_member(group, s, sig0, step, i) for i in range(group.top_height + 1)]
+
+
+def hasse_member(group: GroupTag, s: Weight, sig0: Signature, i: int) -> EnhancedParam:
+    """Member i of ``hasse_sequence(group, s, sig0)``, built alone."""
+    _require_definite(sig0, "sig0")
+    check_weight(s, group)
+    if not 0 <= i <= group.top_height:
+        raise InvalidEnhancedError(f"height {i} outside [0, {group.top_height}] for {group}")
+    return _member(group, s, sig0, 1, i)
 
 
 def hasse_sequence(group: GroupTag, s: Weight, sig0: Signature) -> list[EnhancedParam]:

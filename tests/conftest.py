@@ -31,6 +31,7 @@ from sobranch.reps import (
     Nontempered,
     Signature,
     TemperedPS,
+    signatures_at,
 )
 from sobranch.weights import enumerate_interlacing, validate_weight, zero_weight
 
@@ -215,13 +216,33 @@ def reference_branch_enumerate(big):
             yield EnhancedParam(sub, nu, h, sig)
 
 
+@lru_cache(maxsize=None)
+def reference_chain_states(N, height, M, psi):
+    """The level-by-level table that ``periods._reaches`` replaced with a
+    closed form, kept as its reference.  Entry k: the (height, signature)
+    pairs on SO(M + k, 1) from which k one-step branchings (``branch_states``)
+    reach height 0 with sign ``psi``, for a chain that starts at this height
+    on SO(N, 1); heights never grow and drop by at most one per step, so only
+    heights up to min(k, height) are tried."""
+    good = [frozenset({(0, psi)})]
+    for k in range(1, N - M + 1):
+        level, below = GroupTag(M + k), good[-1]
+        sub = level.subgroup
+        good.append(frozenset(
+            (h, sig)
+            for h in range(min(level.top_height, k, height) + 1)
+            for sig in signatures_at(level, h)
+            if any(state in below for state in branch_states(sub, h, sig))
+        ))
+    return tuple(good)
+
+
 def reference_greedy_chain(big, target, psi):
     """The greedy descent that ``distinguishing_chain`` replaced with a
-    closed-form node, kept as its reference: the same feasibility test, then
-    at each level the first feasible target of ``branch_enumerate``."""
-    from sobranch.periods import _chain_states
-
-    good = _chain_states(big.group.N, big.height, target.N, psi)
+    closed-form node, kept as its reference: the feasibility test of
+    ``reference_chain_states``, then at each level the first feasible
+    target of ``branch_enumerate``."""
+    good = reference_chain_states(big.group.N, big.height, target.N, psi)
 
     def feasible(node):
         steps = node.group.N - target.N

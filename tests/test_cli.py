@@ -516,10 +516,10 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "MAX_BRANCH_TARGETS", size - 1)
             assert run_cli(capsys, *argv)[:2] == (2, "")
 
-    @pytest.mark.parametrize("command", ["classify", "hasse", "diagram"])
+    @pytest.mark.parametrize("command", ["classify", "hasse", "diagram", "chain"])
     def test_answer_past_the_bound_is_2(self, capsys, command):
-        # At SO(2001,1) these answers run to tens of megabytes; members times
-        # rank is checked before any member is built.
+        # At SO(2001,1) these answers run to megabytes; their weight entries
+        # are counted before any member is built.
         from sobranch.cli import MAX_ANSWER_ENTRIES
 
         for mode in ("--json", "--table"):
@@ -536,6 +536,9 @@ class TestExitCodes:
          lambda data: [m["weight"] for m in data["members"]]),
         (["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0"],
          lambda data: [m["weight"] for m in data["top"] + data["bottom"]]),
+        (["chain", "--group", "SO(6,1)", "--enhanced", "1,1,0;h=1;sig=+", "--target", "SO(3,1)",
+          "--psi", "+"],
+         lambda data: [node["weight"] for node in data["chain"]]),
     ])
     def test_answer_bound_is_inclusive(self, capsys, monkeypatch, argv, weights):
         # The closed form counts exactly the weight entries the answer lists.
@@ -568,6 +571,8 @@ HUGE_ANSWER = {
     "hasse": ["hasse", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001)],
     "diagram": ["diagram", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001),
                 "--subweight", ",".join(["0"] * 1000)],
+    "chain": ["chain", "--group", "SO(2001,1)", "--enhanced", ",".join(["0"] * 1001) + ";h=0;sig=+",
+              "--target", "SO(2,1)", "--psi", "+"],
 }
 
 
@@ -756,6 +761,7 @@ class TestArgvFuzz:
     @example(argv=HUGE_ANSWER["classify"])
     @example(argv=HUGE_ANSWER["hasse"])
     @example(argv=HUGE_ANSWER["diagram"])
+    @example(argv=HUGE_ANSWER["chain"])
     @given(argv=argvs())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_exit_contract(self, argv):

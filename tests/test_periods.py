@@ -26,7 +26,13 @@ from sobranch.errors import BadTargetError, NotAqLambdaError, OutOfRangeError
 from sobranch.oracle import grid_enhanced
 from sobranch.periods import PeriodValue, check_period_digits
 
-from conftest import period_formula, reference_chain, reference_greedy_chain, src_env
+from conftest import (
+    period_formula,
+    reference_chain,
+    reference_chain_states,
+    reference_greedy_chain,
+    src_env,
+)
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 
@@ -211,16 +217,37 @@ class TestDistinguishingChain:
             assert multiplicity(a, b) == 1
         assert chain[-1] == EnhancedParam(GroupTag(target), zero_weight(GroupTag(target).rank), 0, P)
 
-    def test_state_table_cached_and_immutable(self):
-        # The (height, signature) table depends only on plain values, so
-        # one object serves every chain with the same (N, height, M, psi).
-        from sobranch.periods import _chain_states
+    def test_reaches_matches_reference_table(self):
+        # The closed form against the level-by-level table it replaced, on
+        # every (N <= 24, M, h, sig, psi).
+        from sobranch.periods import _reaches
+        from sobranch.reps import signatures_at
 
-        table = _chain_states(9, 2, 3, P)
-        assert table is _chain_states(9, 2, 3, P)
-        assert isinstance(table, tuple) and len(table) == 7
-        assert all(isinstance(level, frozenset) for level in table)
-        assert _chain_states.cache_info().maxsize is not None
+        cases = 0
+        for N in range(2, 25):
+            group = GroupTag(N)
+            for target in range(2, N + 1):
+                for h in range(group.top_height + 1):
+                    for sig in signatures_at(group, h):
+                        for psi in (P, M):
+                            case = (N, h, sig, target, psi)
+                            table = reference_chain_states(N, h, target, psi)
+                            assert _reaches(*case) == ((h, sig) in table[N - target]), case
+                            cases += 1
+        assert cases == 9752
+
+    @pytest.mark.parametrize("N, h, target, found", [
+        (7, 3, 3, True),   # 2M = N - 1: the slot of SO(6,1) flips the sign
+        (6, 2, 3, False),  # 2M = N: a flip needs a slot on SO(K,1), K >= 6 = N
+        (9, 2, 2, True),   # M = h: the slot of SO(4,1) is in reach
+        (9, 2, 3, False),  # M = h + 1: the slots from SO(6,1) up lie above height 2
+    ])
+    def test_sign_flip_boundaries(self, N, h, target, found):
+        # A definite sign against psi, checked against the exhaustive search.
+        e = E(N, (0,) * GroupTag(N).rank, h, M)
+        chain = distinguishing_chain(e, GroupTag(target), P)
+        assert (chain is not None) is found
+        assert chain == reference_chain(e, GroupTag(target), P)
 
     @pytest.mark.parametrize("N", [9, 11, 13])
     def test_exhaustive_search_cliffs_are_fast(self, N):

@@ -35,6 +35,7 @@ from sobranch.oracle import _height_by_intervals, grid_weights
 from sobranch.reps import (
     descriptor_to_json,
     enhanced_params,
+    hasse_member,
     theta_param_str,
 )
 from sobranch.values import store
@@ -346,17 +347,29 @@ class TestSequences:
 
 
 class TestSequencesMatchReference:
-    """Each member built once, against the Hasse sequence twisted member by member."""
+    """Each member built once, against the Hasse sequence twisted member by member;
+    ``hasse_member`` builds each Hasse member alone."""
 
     @pytest.mark.parametrize("N", range(2, 14))
     def test_every_weight(self, N):
         group = GroupTag(N)
         for s in theta_weights(group, 3):
             for sig0 in (P, M):
-                assert hasse_sequence(group, s, sig0) == reference_hasse_sequence(group, s, sig0)
+                expected = reference_hasse_sequence(group, s, sig0)
+                assert hasse_sequence(group, s, sig0) == expected
+                assert [hasse_member(group, s, sig0, i) for i in range(len(expected))] == expected
                 assert standard_sequence(group, s, sig0) == reference_standard_sequence(
                     group, s, sig0
                 )
+
+    def test_member_rejections(self):
+        with pytest.raises(InvalidDescriptorError):
+            hasse_member(GroupTag(5), W(1, 1, 1), B, 9)  # sig0 is checked first
+        with pytest.raises(NotSelfDualError):
+            hasse_member(GroupTag(5), W(1, 1, 1), P, 9)
+        for i in (-1, 3):
+            with pytest.raises(InvalidEnhancedError, match=f"height {i} outside"):
+                hasse_member(GroupTag(5), W(1, 1, 0), P, i)
 
     def test_rejections_unchanged(self):
         with pytest.raises(InvalidDescriptorError):
