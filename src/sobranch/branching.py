@@ -35,7 +35,13 @@ from .reps import (
 )
 from .values import Value, store
 from .weights import (
-    GroupTag, Weight, check_weight, count_interlacing, enumerate_interlacing, interlaces
+    GroupTag,
+    Weight,
+    check_weight,
+    count_interlacing,
+    enumerate_interlacing,
+    interlaces,
+    interlacing_entries,
 )
 
 
@@ -126,36 +132,51 @@ def multiplicity_rows(
     only where the big's weight interlaces w, so each big weight (tabulated
     again only when it changes) keeps just the starts w * S of the weights it
     interlaces, and each distinct big (height, signature) decides the S
-    states once per call.  A row is a fresh ``[0] * (W * S)`` with that
-    state vector written into each interlacing weight's block.  When the
-    smalls are exactly that product in that order, every weight with the
-    same states in the same order (as ``oracle.grid_enhanced`` lists them),
-    the fresh table is the row; any other order, repeat or subset of smalls
-    reads the row from the table at each small's cell.  A small outside the
-    big's rank-one subgroup raises ``multiplicity``'s ``GroupMismatchError``,
-    naming the first such small.
+    states once per call.  Those weights are found one of two ways, picked
+    by the closed-form ``count_interlacing``: when the big weight has at
+    most as many interlacing weights as there are distinct small weights,
+    each of them (``interlacing_entries``) is looked up among the smalls';
+    otherwise each small weight is tested with ``interlaces``, so a big
+    weight with huge entries never enumerates its targets.  A row is a fresh
+    ``[0] * (W * S)`` with that state vector written into each interlacing
+    weight's block.  When the smalls are exactly that product in that order,
+    every weight with the same states in the same order (as
+    ``oracle.grid_enhanced`` lists them), the fresh table is the row; any
+    other order, repeat or subset of smalls reads the row from the table at
+    each small's cell.  A small outside the big's rank-one subgroup raises
+    ``multiplicity``'s ``GroupMismatchError``, naming the first such small.
     """
     smalls = list(smalls)
     states: dict[tuple[int, Signature], int] = {}
-    weights: dict[Weight, int] = {}
-    firsts: dict[GroupTag, EnhancedParam] = {}  # the first small of each group
+    weights: dict[tuple[int, ...], int] = {}  # the entries of each distinct small weight
+    nus: list[Weight] = []  # the distinct small weights, in the order of ``weights``
+    firsts: dict[int, EnhancedParam] = {}  # the first small of each group's N
     for q in smalls:
         states.setdefault((q.height, q.sig), len(states))
-        weights.setdefault(q.s, len(weights))
-        firsts.setdefault(q.group, q)
+        if q.s.entries not in weights:
+            weights[q.s.entries] = len(nus)
+            nus.append(q.s)
+        firsts.setdefault(q.group.N, q)
     S = len(states)
-    cell_of = [weights[q.s] * S + states[q.height, q.sig] for q in smalls]
+    cell_of = [weights[q.s.entries] * S + states[q.height, q.sig] for q in smalls]
     size = len(weights) * S
     in_order = cell_of == list(range(size))
     matches: dict[tuple[int, Signature], list[int]] = {}
-    s = starts = None
+    entries = starts = None
     for big in bigs:
         for q in firsts.values():
             if q.group.N != big.group.N - 1:
                 raise _mismatch_error(big, q)
-        if big.s != s:
-            s = big.s
-            starts = [w * S for w, nu in enumerate(weights) if interlaces(s, nu)]
+        s = big.s
+        if s.entries != entries:
+            entries = s.entries
+            if not nus:  # nothing to find, and SO(2,1) has no subgroup to ask
+                starts = []
+            elif count_interlacing(s, big.group.subgroup.free_rank) <= len(nus):
+                found = map(weights.get, interlacing_entries(s, big.group.subgroup))
+                starts = [w * S for w in found if w is not None]
+            else:
+                starts = [w * S for w, nu in enumerate(nus) if interlaces(s, nu)]
         key = (big.height, big.sig)
         match = matches.get(key)
         if match is None:
@@ -191,15 +212,12 @@ def branch_enumerate(big: EnhancedParam) -> Iterator[EnhancedParam]:
     Streams, without filtering, the cross product of the interlacing weights
     (lexicographically decreasing) with the admissible (height, signature)
     pairs of ``branch_states``; discrete-series targets appear once, with
-    the wildcard signature.  The weights are enumerated on the subgroup's
-    ``free_rank`` entries, and on an odd subgroup padded with its trailing 0.
+    the wildcard signature.  The weights are those of ``interlacing_entries``,
+    each built once.
     """
     sub = big.group.subgroup
     states = branch_states(sub, big.height, big.sig)
-    nus = enumerate_interlacing(big.s, sub.free_rank)
-    if sub.rank > sub.free_rank:
-        nus = (Weight(nu.entries + (0,)) for nu in nus)
-    for nu in nus:
+    for nu in map(Weight, interlacing_entries(big.s, sub)):
         for h, sig in states:
             yield EnhancedParam(sub, nu, h, sig)
 

@@ -194,19 +194,27 @@ def _suite_dim_conservation(bounds: dict) -> tuple[int, _Failures]:
 
 
 def _suite_roundtrip(bounds: dict) -> tuple[int, _Failures]:
+    """Parameter -> descriptor -> parameter on every grid parameter:
+    ``enhanced_from_langlands(langlands_from_enhanced(e))`` must be e.
+
+    One conversion each way per case.  Since ``classify`` lists the
+    ``langlands_from_enhanced`` of every parameter of a weight, this also
+    gives back every ``classify`` descriptor d from its parameter, and a
+    ``langlands_from_enhanced`` that sends two parameters to one descriptor
+    fails at one of them at least.
+    """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
     for N in range(2, max_group + 1):
-        group = GroupTag(N)
-        for s in grid_weights(group, max_entry):
-            for d in classify(group, s):
-                cases += 1
-                back = langlands_from_enhanced(enhanced_from_langlands(d))
-                if back != d:
-                    failures.append(
-                        {"descriptor": repr(d), "roundtrip": repr(back)}
-                    )
+        for e in grid_enhanced(GroupTag(N), max_entry):
+            cases += 1
+            d = langlands_from_enhanced(e)
+            back = enhanced_from_langlands(d)
+            if back != e:
+                failures.append(
+                    {"parameter": repr(e), "descriptor": repr(d), "roundtrip": repr(back)}
+                )
     return cases, failures
 
 
@@ -278,19 +286,21 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     the small grid, from ``multiplicity_rows``, equals the row of its twist
     over the twisted smalls, and a mismatch lists the smalls where they
     differ.  The big grid of N is the small grid of N + 1, so each grid is
-    built once.
+    built and twisted once: the twisted bigs of N are the twisted smalls of
+    N + 1.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
-    small_params = None
+    small_params = twisted_smalls = None
     for N in range(3, max_group + 1):
         if small_params is None:
             small_params = grid_enhanced(GroupTag(N - 1), max_entry)
+            twisted_smalls = [twist_chi_minus(q) for q in small_params]
         big_params = grid_enhanced(GroupTag(N), max_entry)
+        twisted_bigs = [twist_chi_minus(b) for b in big_params]
         own_rows = multiplicity_rows(big_params, small_params)
-        twisted_smalls = [twist_chi_minus(q) for q in small_params]
-        twisted_rows = multiplicity_rows(map(twist_chi_minus, big_params), twisted_smalls)
+        twisted_rows = multiplicity_rows(twisted_bigs, twisted_smalls)
         for big, own, twisted in zip(big_params, own_rows, twisted_rows):
             cases += len(own)
             if own != twisted:
@@ -298,7 +308,7 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
                     list(compress(small_params, map(ne, own, twisted))),
                     lambda small: {"big": repr(big), "small": repr(small)},
                 )
-        small_params = big_params
+        small_params, twisted_smalls = big_params, twisted_bigs
     return cases, failures
 
 

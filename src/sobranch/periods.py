@@ -216,10 +216,21 @@ def is_aq_lambda(e: EnhancedParam) -> Optional[AqDescriptor]:
 
 
 def distinguished_subgroup(e: EnhancedParam) -> GroupTag:
-    """The subgroup SO(n+1-height, 1) for which an all-zero-tail parameter is distinguished."""
+    """The subgroup SO(n+1-height, 1) for which an all-zero-tail parameter is distinguished.
+
+    On SO(2,1) the discrete series, at height 1, would need SO(1,1), which
+    is below the supported groups: that raises ``OutOfRangeError`` naming
+    the parameter and its group.
+    """
     if is_aq_lambda(e) is None:
         raise NotAqLambdaError(f"{e} has nonzero entries behind the bar")
-    return GroupTag(e.group.n + 1 - e.height)
+    N = e.group.n + 1 - e.height
+    if N < 2:
+        raise OutOfRangeError(
+            f"{e} of {e.group} has no distinguished subgroup: at height {e.height} it "
+            f"would lie below SO(2,1), the smallest group supported"
+        )
+    return GroupTag(N)
 
 
 def _reaches(N: int, h: int, sig: Signature, M: int, psi: Signature) -> bool:

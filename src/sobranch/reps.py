@@ -43,19 +43,26 @@ from .values import Value, store
 
 
 class Signature(Enum):
-    """Sign invariant of a representation; BOTH is the discrete-series wildcard."""
+    """Sign invariant of a representation; BOTH is the discrete-series wildcard.
+
+    The three members are singletons compared by identity, so they hash by
+    identity too, in C; ``Enum``'s own hash of the member name is a Python
+    call on every dict lookup of a (height, signature) state.
+    """
 
     PLUS = "+"
     MINUS = "-"
     BOTH = "pm"
 
+    __hash__ = object.__hash__
+
     def flipped(self) -> "Signature":
         """Effect of tensoring with the nontrivial character (fixes BOTH)."""
-        if self is Signature.PLUS:
-            return Signature.MINUS
-        if self is Signature.MINUS:
-            return Signature.PLUS
-        return Signature.BOTH
+        if self is _PLUS:
+            return _MINUS
+        if self is _MINUS:
+            return _PLUS
+        return _BOTH
 
     def times_sign(self, exponent: int) -> "Signature":
         """Multiply by (-1)**exponent (fixes BOTH)."""
@@ -78,9 +85,10 @@ class Signature(Enum):
         return self.value
 
 
-_BOTH = Signature.BOTH  # module-level: an enum class attribute lookup is slow
+# module-level: an enum class attribute lookup is slow
+_PLUS, _MINUS, _BOTH = Signature.PLUS, Signature.MINUS, Signature.BOTH
 _DS_SLOT = (_BOTH,)
-_DEFINITE = (Signature.PLUS, Signature.MINUS)
+_DEFINITE = (_PLUS, _MINUS)
 
 
 def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
@@ -96,7 +104,7 @@ def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
 
 
 def _require_definite(sig: Signature, what: str) -> None:
-    if sig is Signature.BOTH:
+    if sig is _BOTH:
         raise InvalidDescriptorError(f"{what} must be '+' or '-', not 'pm'")
 
 

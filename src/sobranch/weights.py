@@ -286,6 +286,17 @@ def enumerate_interlacing(mu: Weight, target_rank: int) -> Iterator[Weight]:
         yield Weight(combo)
 
 
+def interlacing_entries(mu: Weight, sub: GroupTag) -> Iterator[tuple[int, ...]]:
+    """Entry tuples of the weights of ``sub`` that interlace mu, lexicographically
+    decreasing: the product of the ranges of ``_interlacing_ranges`` on the
+    ``sub.free_rank`` entries that may be nonzero, and on an odd subgroup
+    its trailing 0 appended.  mu must be a weight of the group above ``sub``."""
+    combos = product(*_interlacing_ranges(mu, sub.free_rank))
+    if sub.rank > sub.free_rank:
+        return (combo + (0,) for combo in combos)
+    return combos
+
+
 def count_interlacing(mu: Weight, target_rank: int) -> int:
     """Closed-form size of the enumerate_interlacing stream: the product of
     the lengths of the ranges of ``_interlacing_ranges``."""

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,8 @@ class TestMultiplicityRows:
     def test_empty(self):
         bigs = grid_enhanced(GroupTag(5), 1)
         assert list(multiplicity_rows(bigs, [])) == [[] for _ in bigs]
+        so21 = grid_enhanced(GroupTag(2), 1)  # no subgroup in the package
+        assert list(multiplicity_rows(so21, [])) == [[] for _ in so21]
         assert list(multiplicity_rows([], grid_enhanced(GroupTag(4), 1))) == []
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -285,6 +288,65 @@ class TestMultiplicityRows:
                 assert row == w
                 row[:] = [7] * len(row)
 
+    # The weights a big weight interlaces are looked up among the smalls' when
+    # it has at most as many as there are distinct small weights, and found by
+    # testing each small weight otherwise; both ways give the per-pair rows.
+
+    @staticmethod
+    def count_paths(monkeypatch):
+        """Count the calls of each way: ``interlacing_entries`` per big weight
+        looked up, ``interlaces`` per small weight tested."""
+        used = {"lookup": 0, "test": 0}
+        real_entries, real_interlaces = branching.interlacing_entries, branching.interlaces
+
+        def looked_up(mu, sub):
+            used["lookup"] += 1
+            return real_entries(mu, sub)
+
+        def tested(mu, nu):
+            used["test"] += 1
+            return real_interlaces(mu, nu)
+
+        monkeypatch.setattr(branching, "interlacing_entries", looked_up)
+        monkeypatch.setattr(branching, "interlaces", tested)
+        return used
+
+    @pytest.mark.parametrize("smalls_of", ["grid", "shuffled", "duplicated", "subset"])
+    def test_both_ways_against_per_pair(self, monkeypatch, smalls_of):
+        # Bigs with entries up to 3 over smalls with entries up to 1: the
+        # small big weights are looked up, the large ones tested, on odd
+        # (N even) and even (N odd) subgroups alike.
+        rng = random.Random(25)
+        for N in range(3, 9):
+            bigs = grid_enhanced(GroupTag(N), 3)
+            smalls = grid_enhanced(GroupTag(N - 1), 1)
+            if smalls_of == "shuffled":
+                rng.shuffle(smalls)
+            elif smalls_of == "duplicated":
+                smalls = smalls + smalls[::2]
+            elif smalls_of == "subset":
+                smalls = smalls[1::2]
+            used = self.count_paths(monkeypatch)
+            rows = list(multiplicity_rows(bigs, smalls))
+            monkeypatch.undo()
+            assert used["lookup"] > 0 and used["test"] > 0, (N, used)
+            assert rows == self.check(bigs, smalls)
+
+    @pytest.mark.parametrize("s", [(10**6, 10**5, 10**4), (10**6, 2, 1)])
+    def test_huge_big_weight_tests_the_small_weights(self, monkeypatch, s):
+        # Some 10^16 (or 2 * 10^6) weights interlace s: none is enumerated,
+        # each of the grid's small weights is tested once per big weight.
+        smalls = grid_enhanced(GroupTag(5), 4)
+        bigs = list(enhanced_params(GroupTag(6), W(*s)))
+        used = self.count_paths(monkeypatch)
+        start = time.perf_counter()
+        rows = list(multiplicity_rows(bigs, smalls))
+        assert time.perf_counter() - start < 0.5
+        monkeypatch.undo()
+        assert used == {"lookup": 0, "test": len({q.s for q in smalls})}
+        assert rows == self.per_pair(bigs, smalls)  # the reference would enumerate
+        assert any(1 in row for row in rows) is (s[1] == 2)
+
     def test_wrong_big_after_shared_states(self):
         smalls = grid_enhanced(GroupTag(4), 1)
         bigs = [E(5, (1, 1, 0), 1, P), E(5, (1, 0, 0), 1, P), E(6, (1, 1, 0), 1, P)]
@@ -335,19 +397,43 @@ class TestBranchEnumerate:
             assert got == list(reference_branch_enumerate(big)), big
             assert branch_count(big) == len(got), big
 
+    @staticmethod
+    def drawn_and_built(monkeypatch, big):
+        """The targets of ``big``, the entry tuples drawn from
+        ``interlacing_entries`` and those built into a ``Weight``."""
+        drawn, built = [], []
+        real_entries, real_weight = branching.interlacing_entries, branching.Weight
+
+        def counting(mu, sub):
+            for entries in real_entries(mu, sub):
+                drawn.append(entries)
+                yield entries
+
+        def counting_weight(entries):
+            built.append(entries)
+            return real_weight(entries)
+
+        monkeypatch.setattr(branching, "interlacing_entries", counting)
+        monkeypatch.setattr(branching, "Weight", counting_weight)
+        got = list(branch_enumerate(big))
+        monkeypatch.undo()
+        assert got == list(reference_branch_enumerate(big))
+        assert all(entries[-1] == 0 for entries in drawn)
+        return got, drawn, built
+
     def test_odd_subgroup_draws_only_self_dual_weights(self, monkeypatch):
-        # Every weight drawn is a target: a filter would draw 58 621 here.
-        drawn = []
-        real = branching.enumerate_interlacing
+        # Every weight drawn is a target, built into one validated Weight:
+        # a filter would draw 58 621 here.
+        got, drawn, built = self.drawn_and_built(monkeypatch, E(6, (120, 60, 30), 0, P))
+        assert len(drawn) == len(built) == len(got) == 1891
+        assert built == drawn == [t.s.entries for t in got]
 
-        def counting(mu, target_rank):
-            for nu in real(mu, target_rank):
-                drawn.append(nu)
-                yield nu
-
-        monkeypatch.setattr(branching, "enumerate_interlacing", counting)
-        got = list(branch_enumerate(E(6, (120, 60, 30), 0, P)))
-        assert len(drawn) == len(got) == 1891
+    def test_one_weight_for_the_states_of_a_target(self, monkeypatch):
+        # Two (height, signature) states per weight share its one Weight.
+        got, drawn, built = self.drawn_and_built(monkeypatch, E(6, (4, 2, 1), 1, M))
+        assert built == drawn == list(dict.fromkeys(t.s.entries for t in got))
+        assert len(got) == 2 * len(drawn)
+        assert all(got[2 * k].s is got[2 * k + 1].s for k in range(len(drawn)))
 
     def test_stream_decision_agreement(self):
         for N in (3, 4, 5, 6):

@@ -169,6 +169,17 @@ class TestOtherCommands:
         assert data["distinguished_for"] == "SO(4,1)"
         assert data["aq"]["inducing_degree"] == 3
 
+    def test_distinguished_below_the_smallest_group(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distinguished", "--group", "SO(2,1)", "--enhanced", "0;h=1;sig=pm"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: (0||)pm of SO(2,1) has no distinguished subgroup: at height 1 it "
+            "would lie below SO(2,1), the smallest group supported\n"
+        )
+        assert "SO(1,1)" not in err
+
     def test_chain(self, capsys):
         data = run_json(
             capsys, "chain", "--group", "SO(4,1)", "--enhanced", "0,0;h=2;sig=pm",
@@ -762,6 +773,7 @@ class TestArgvFuzz:
     @example(argv=HUGE_ANSWER["hasse"])
     @example(argv=HUGE_ANSWER["diagram"])
     @example(argv=HUGE_ANSWER["chain"])
+    @example(argv=["distinguished", "--group", "SO(2,1)", "--enhanced", "0;h=1;sig=pm"])
     @given(argv=argvs())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_exit_contract(self, argv):

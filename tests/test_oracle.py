@@ -211,6 +211,98 @@ class TestSuites:
         assert data["cases_run"] == report.cases_run
 
 
+def _grid_params(N_from, bounds):
+    return [
+        e
+        for N in range(N_from, bounds["max_group"] + 1)
+        for e in oracle.grid_enhanced(GroupTag(N), bounds["max_entry"])
+    ]
+
+
+class TestRoundtrip:
+    BOUNDS = SMALL_BOUNDS["roundtrip"]
+
+    def test_sign_flipped_at_one_height(self, monkeypatch):
+        # A converter that flips the signature of every height-1 parameter
+        # fails each definite one; the discrete series of SO(2,1) keeps 'pm'.
+        engine = oracle.enhanced_from_langlands
+
+        def flipped_at_one(d):
+            e = engine(d)
+            return twist_chi_minus(e) if e.height == 1 else e
+
+        monkeypatch.setattr(oracle, "enhanced_from_langlands", flipped_at_one)
+        report = run_suite("roundtrip", self.BOUNDS)
+        bad = [e for e in _grid_params(2, self.BOUNDS) if e.height == 1 and e.sig is not Signature.BOTH]
+        assert report.cases_run == SMALL_CASES["roundtrip"]
+        assert report.failures_total == len(bad) > oracle.KEPT_FAILURES
+        d = oracle.langlands_from_enhanced(bad[0])
+        assert report.failures[0] == {
+            "parameter": repr(bad[0]), "descriptor": repr(d), "roundtrip": repr(twist_chi_minus(bad[0])),
+        }
+
+    def test_two_parameters_sent_to_one_descriptor(self, monkeypatch):
+        # (h, -) sent to the descriptor of (h, +): the merged parameters
+        # come back as (h, +), so each '-' parameter fails.
+        engine = oracle.langlands_from_enhanced
+
+        def merging(e):
+            if e.sig is Signature.MINUS:
+                e = EnhancedParam(e.group, e.s, e.height, Signature.PLUS)
+            return engine(e)
+
+        monkeypatch.setattr(oracle, "langlands_from_enhanced", merging)
+        report = run_suite("roundtrip", self.BOUNDS)
+        bad = [e for e in _grid_params(2, self.BOUNDS) if e.sig is Signature.MINUS]
+        assert report.failures_total == len(bad) > oracle.KEPT_FAILURES
+        assert [f["parameter"] for f in report.failures] == [
+            repr(e) for e in bad[: oracle.KEPT_FAILURES]
+        ]
+
+
+class TestNoRepeatedWork:
+    """On the small grids each suite does its work once: one conversion each
+    way per roundtrip case, one twist per chi-twist grid parameter, and no
+    interlacing test where the interlacing weights can be looked up."""
+
+    def test_roundtrip_converts_once_each_way(self, monkeypatch):
+        calls = {"L": 0, "E": 0}
+        to_langlands, to_enhanced = oracle.langlands_from_enhanced, oracle.enhanced_from_langlands
+
+        def langlands(e):
+            calls["L"] += 1
+            return to_langlands(e)
+
+        def enhanced(d):
+            calls["E"] += 1
+            return to_enhanced(d)
+
+        monkeypatch.setattr(oracle, "langlands_from_enhanced", langlands)
+        monkeypatch.setattr(oracle, "enhanced_from_langlands", enhanced)
+        report = run_suite("roundtrip", SMALL_BOUNDS["roundtrip"])
+        assert report.passed
+        assert calls == {"L": SMALL_CASES["roundtrip"], "E": SMALL_CASES["roundtrip"]}
+
+    def test_chi_twist_twists_each_grid_parameter_once(self, monkeypatch):
+        twisted = []
+
+        def counted(e):
+            twisted.append(e)
+            return twist_chi_minus(e)
+
+        monkeypatch.setattr(oracle, "twist_chi_minus", counted)
+        assert run_suite("chi-twist", SMALL_BOUNDS["chi-twist"]).passed
+        assert twisted == _grid_params(2, SMALL_BOUNDS["chi-twist"])
+
+    def test_chi_twist_rows_test_no_interlacing(self, monkeypatch):
+        def tested(mu, nu):
+            raise AssertionError("an interlacing test on the chi-twist grid")
+
+        monkeypatch.setattr(branching, "interlaces", tested)
+        report = run_suite("chi-twist", SMALL_BOUNDS["chi-twist"])
+        assert report.passed and report.cases_run == SMALL_CASES["chi-twist"]
+
+
 class TestHeightConsistency:
     BOUNDS = SMALL_BOUNDS["height-consistency"]
 

@@ -108,6 +108,16 @@ class TestDistinguishedSubgroup:
         with pytest.raises(NotAqLambdaError):
             distinguished_subgroup(E(5, (1, 1, 0), 1, M))
 
+    def test_below_the_smallest_group(self):
+        # The discrete series of SO(2,1) would be distinguished by SO(1,1):
+        # refused with the parameter and its group, not the unsupported one.
+        with pytest.raises(OutOfRangeError) as got:
+            distinguished_subgroup(E(2, (0,), 1, B))
+        assert str(got.value) == (
+            "(0||)pm of SO(2,1) has no distinguished subgroup: at height 1 it "
+            "would lie below SO(2,1), the smallest group supported"
+        )
+
 
 class TestDistinguishingChain:
     def test_example_so31(self):

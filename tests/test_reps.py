@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations_with_replacement
 
 import pytest
@@ -78,6 +80,17 @@ class TestSignature:
 
     def test_times_sign(self):
         assert P.times_sign(3) is M and P.times_sign(4) is P and B.times_sign(1) is B
+
+    @pytest.mark.parametrize("sig", [P, M, B])
+    def test_hash_survives_copy_and_pickle(self, sig):
+        # Members hash by identity; a copy or an unpickled member is the same
+        # member, so it keeps its hash and finds its dict entries.
+        table = {s: s.value for s in Signature}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(sig, protocol))
+            assert back is sig and hash(back) == hash(sig) and table[back] == sig.value
+        for back in (copy.copy(sig), copy.deepcopy(sig), copy.deepcopy({sig: 1}).popitem()[0]):
+            assert back is sig and hash(back) == hash(sig)
 
 
 class TestDescriptorValidation:
