@@ -35,12 +35,7 @@ from .reps import (
 )
 from .values import Value, store
 from .weights import (
-    GroupTag,
-    Weight,
-    check_weight,
-    count_interlacing,
-    enumerate_interlacing,
-    interlaces,
+    GroupTag, Weight, check_weight, count_interlacing, enumerate_interlacing, interlaces,
     interlacing_entries,
 )
 

@@ -233,12 +233,14 @@ class TestRoundtrip:
 
         monkeypatch.setattr(oracle, "enhanced_from_langlands", flipped_at_one)
         report = run_suite("roundtrip", self.BOUNDS)
-        bad = [e for e in _grid_params(2, self.BOUNDS) if e.height == 1 and e.sig is not Signature.BOTH]
+        grid = _grid_params(2, self.BOUNDS)
+        bad = [e for e in grid if e.height == 1 and e.sig is not Signature.BOTH]
         assert report.cases_run == SMALL_CASES["roundtrip"]
         assert report.failures_total == len(bad) > oracle.KEPT_FAILURES
-        d = oracle.langlands_from_enhanced(bad[0])
         assert report.failures[0] == {
-            "parameter": repr(bad[0]), "descriptor": repr(d), "roundtrip": repr(twist_chi_minus(bad[0])),
+            "parameter": repr(bad[0]),
+            "descriptor": repr(oracle.langlands_from_enhanced(bad[0])),
+            "roundtrip": repr(twist_chi_minus(bad[0])),
         }
 
     def test_two_parameters_sent_to_one_descriptor(self, monkeypatch):
