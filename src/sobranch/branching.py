@@ -233,6 +233,13 @@ def sb_diagram(
     already the finite-dimensional members admit no nonzero map and the
     request is rejected.
     """
+    return _diagram(group, s, s_sub, sig)[2]
+
+
+def _diagram(
+    group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
+) -> tuple[list[EnhancedParam], list[EnhancedParam], list[Arrow]]:
+    """The two standard sequences of ``sb_diagram``, each built once, and its arrows."""
     sub = group.subgroup
     check_weight(s, group)
     check_weight(s_sub, sub)
@@ -247,18 +254,18 @@ def sb_diagram(
         for j, bottom in enumerate(seq_h):
             if multiplicity(top, bottom) == 1:
                 arrows.append(Arrow(i, j, top, bottom))
-    return arrows
+    return seq_g, seq_h, arrows
 
 
 def diagram_to_json(
     group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
 ) -> dict:
-    arrows = sb_diagram(group, s, s_sub, sig)
+    seq_g, seq_h, arrows = _diagram(group, s, s_sub, sig)
     return {
         "group": str(group),
         "subgroup": str(group.subgroup),
-        "top": [e.to_json() for e in standard_sequence(group, s, sig)],
-        "bottom": [e.to_json() for e in standard_sequence(group.subgroup, s_sub, sig)],
+        "top": [e.to_json() for e in seq_g],
+        "bottom": [e.to_json() for e in seq_h],
         "arrows": [[a.from_height, a.to_height] for a in arrows],
     }
 
@@ -267,9 +274,8 @@ def render_diagram(
     group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
 ) -> str:
     """Aligned ASCII view of the two standard sequences and their arrows."""
-    seq_g = standard_sequence(group, s, sig)
-    seq_h = standard_sequence(group.subgroup, s_sub, sig)
-    arrows = {(a.from_height, a.to_height) for a in sb_diagram(group, s, s_sub, sig)}
+    seq_g, seq_h, arrow_list = _diagram(group, s, s_sub, sig)
+    arrows = {(a.from_height, a.to_height) for a in arrow_list}
     labels_g = [theta_param_str(e) for e in seq_g]
     labels_h = [theta_param_str(e) for e in seq_h]
     width = max(len(t) for t in labels_g + labels_h) + 2

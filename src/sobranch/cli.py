@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 malformed parameters, 3 parameters outside the
 supported family, 4 verification-suite failure.  A reader that closes
 stdout early ends a computed call with 0 and nothing on stderr.
 
+Each ``_cmd_*`` handler returns an ``Answer``: the JSON dict, and a function
+drawing the ``--table`` text, called in that mode only.  ``main`` alone
+prints and picks the exit code: 4 when the answer holds ``"passed": false``
+(a failing ``selftest``), else 0, or a package error's own code.
+
 Only ``weights`` and ``reps`` load with this module; a handler imports the
 rest of the library (``branching``, ``periods``, ``cohomology``, ``oracle``)
 when it runs, so a call loads only what its subcommand uses.
@@ -16,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import SUITE_NAMES, __version__
 from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError, UnknownSuiteError
@@ -46,7 +51,7 @@ def _check_digits(values: tuple[int, ...], what: str) -> tuple[int, ...]:
     digits (none when the limit is 0).  Every integer printed from the
     input is at most one digit longer than one of them, so it can be written."""
     limit = sys.get_int_max_str_digits()
-    if limit and any(abs(v) >= 10 ** (limit - 1) for v in values):
+    if limit and max(map(abs, values), default=0) >= 10 ** (limit - 1):
         raise OutOfRangeError(
             f"{what} has {limit} digits or more, past Python's int-to-string limit"
         )
@@ -155,24 +160,17 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _emit(args: argparse.Namespace, payload: dict, table_text: str | None = None) -> None:
-    if args.table and table_text is not None:
-        print(table_text)
-    else:
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-
-
 # ---------------------------------------------------------------- handlers
 
+Answer = tuple[dict, Callable[[], str]]
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+
+def _cmd_classify(args: argparse.Namespace) -> Answer:
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     _check_answer_size("classify", (group.n + 2) * group.rank)
-    descriptors = classify(group, s)
     items = []
-    rows = []
-    for d in descriptors:
+    for d in classify(group, s):
         e = enhanced_from_langlands(d)
         items.append(
             {
@@ -181,18 +179,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "theta": theta_param_str(e),
             }
         )
-        rows.append([e.height, e.sig.value, descriptor_to_json(d)["variant"], theta_param_str(e)])
     payload = {
         "group": str(group),
         "weight": s.to_json(),
         "count": len(items),
         "representations": items,
     }
-    _emit(args, payload, _table(["height", "sig", "variant", "theta-parameter"], rows))
-    return 0
+    return payload, lambda: _table(["height", "sig", "variant", "theta-parameter"], [
+        [r["enhanced"]["height"], r["enhanced"]["signature"], r["descriptor"]["variant"],
+         r["theta"]] for r in items])
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> Answer:
     group = GroupTag.parse(args.group)
     d = _descriptor_input(args, group)
     e = enhanced_from_langlands(d)
@@ -202,28 +200,25 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         "enhanced": e.to_json(),
         "theta": theta_param_str(e),
     }
-    rows = [["langlands", json.dumps(descriptor_to_json(d))], ["theta", theta_param_str(e)]]
-    _emit(args, payload, _table(["form", "value"], rows))
-    return 0
+    return payload, lambda: _table(["form", "value"], [
+        ["langlands", json.dumps(payload["langlands"])], ["theta", payload["theta"]]])
 
 
-def _cmd_height(args: argparse.Namespace) -> int:
+def _cmd_height(args: argparse.Namespace) -> Answer:
     group = GroupTag.parse(args.group)
     d = _descriptor_input(args, group)
     h = height(d)
-    _emit(args, {"group": str(group), "height": h}, f"height {h}")
-    return 0
+    return {"group": str(group), "height": h}, lambda: f"height {h}"
 
 
-def _cmd_signature(args: argparse.Namespace) -> int:
+def _cmd_signature(args: argparse.Namespace) -> Answer:
     group = GroupTag.parse(args.group)
     d = _descriptor_input(args, group)
     sig = signature(d).value
-    _emit(args, {"group": str(group), "signature": sig}, f"signature {sig}")
-    return 0
+    return {"group": str(group), "signature": sig}, lambda: f"signature {sig}"
 
 
-def _cmd_hasse(args: argparse.Namespace) -> int:
+def _cmd_hasse(args: argparse.Namespace) -> Answer:
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     sig0 = Signature.parse(args.sig0)
@@ -236,12 +231,11 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
         "kind": "standard" if args.standard else "hasse",
         "members": [e.to_json() for e in seq],
     }
-    rows = [[e.height, e.sig.value, theta_param_str(e)] for e in seq]
-    _emit(args, payload, _table(["height", "sig", "theta-parameter"], rows))
-    return 0
+    return payload, lambda: _table(["height", "sig", "theta-parameter"],
+                                   [[e.height, e.sig.value, theta_param_str(e)] for e in seq])
 
 
-def _cmd_branch(args: argparse.Namespace) -> int:
+def _cmd_branch(args: argparse.Namespace) -> Answer:
     from .branching import branch_count, branch_enumerate, multiplicity
 
     group = GroupTag.parse(args.group)
@@ -256,10 +250,8 @@ def _cmd_branch(args: argparse.Namespace) -> int:
             "small": small.to_json(),
             "multiplicity": m,
         }
-        _emit(args, payload, f"multiplicity {m}")
-        return 0
-    if branch_count(big) > MAX_BRANCH_TARGETS:
-        raise OutOfRangeError(f"branch would list more than {MAX_BRANCH_TARGETS} targets")
+        return payload, lambda: f"multiplicity {m}"
+    _check_answer_size("branch", branch_count(big), MAX_BRANCH_TARGETS, "targets")
     targets = list(branch_enumerate(big))
     payload = {
         "group": str(group),
@@ -268,19 +260,18 @@ def _cmd_branch(args: argparse.Namespace) -> int:
         "count": len(targets),
         "targets": [t.to_json() for t in targets],
     }
-    rows = [[t.height, t.sig.value, theta_param_str(t)] for t in targets]
-    _emit(args, payload, _table(["height", "sig", "theta-parameter"], rows))
-    return 0
+    return payload, lambda: _table(["height", "sig", "theta-parameter"],
+                                   [[t.height, t.sig.value, theta_param_str(t)] for t in targets])
 
 
-def _cmd_branch_fd(args: argparse.Namespace) -> int:
+def _cmd_branch_fd(args: argparse.Namespace) -> Answer:
     from .branching import finite_dim_branch
 
     group = GroupTag.parse(args.group)
     lam = validate_weight(_parse_csv_ints(args.weight), group)
     delta = Signature.parse(args.delta)
-    if count_interlacing(lam, group.subgroup.rank) > MAX_BRANCH_TARGETS:
-        raise OutOfRangeError(f"branch-fd would list more than {MAX_BRANCH_TARGETS} components")
+    _check_answer_size("branch-fd", count_interlacing(lam, group.subgroup.rank), MAX_BRANCH_TARGETS,
+                       "components")
     comps = finite_dim_branch(group, lam, delta)
     payload = {
         "group": str(group),
@@ -292,12 +283,11 @@ def _cmd_branch_fd(args: argparse.Namespace) -> int:
             for c in comps
         ],
     }
-    rows = [[str(c.nu), c.sig.value, c.self_dual] for c in comps]
-    _emit(args, payload, _table(["nu", "sig", "self-dual"], rows))
-    return 0
+    return payload, lambda: _table(["nu", "sig", "self-dual"],
+                                   [[str(c.nu), c.sig.value, c.self_dual] for c in comps])
 
 
-def _cmd_diagram(args: argparse.Namespace) -> int:
+def _cmd_diagram(args: argparse.Namespace) -> Answer:
     from .branching import diagram_to_json, render_diagram
 
     group = GroupTag.parse(args.group)
@@ -305,12 +295,10 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     s_sub = validate_weight(_parse_csv_ints(args.subweight), group.subgroup)
     sig = Signature.parse(args.sig)
     _check_answer_size("diagram", sum((g.top_height + 1) * g.rank for g in (group, group.subgroup)))
-    payload = diagram_to_json(group, s, s_sub, sig)
-    _emit(args, payload, render_diagram(group, s, s_sub, sig))
-    return 0
+    return diagram_to_json(group, s, s_sub, sig), lambda: render_diagram(group, s, s_sub, sig)
 
 
-def _cmd_gp_check(args: argparse.Namespace) -> int:
+def _cmd_gp_check(args: argparse.Namespace) -> Answer:
     from .branching import gp_tempered_check
 
     group = GroupTag.parse(args.group)
@@ -328,27 +316,24 @@ def _cmd_gp_check(args: argparse.Namespace) -> int:
         "small": descriptor_to_json(small),
         "nonzero": ok,
     }
-    _emit(args, payload, f"nonzero {ok}")
-    return 0
+    return payload, lambda: f"nonzero {ok}"
 
 
-def _cmd_period(args: argparse.Namespace) -> int:
+def _cmd_period(args: argparse.Namespace) -> Answer:
     from .periods import check_period_digits, minimal_k_type_trivial_rho, period_value
 
     if args.ktype:
         label = minimal_k_type_trivial_rho(args.n, args.i)
         ktype = label.to_json()
         payload = {"n": args.n, "i": args.i, "minimal_k_type": ktype}
-        _emit(args, payload, label.pretty() + f"  dim {ktype['dimension']}")
-        return 0
+        return payload, lambda: label.pretty() + f"  dim {ktype['dimension']}"
     check_period_digits(args.n, args.i)
     value = period_value(args.n, args.i)
     payload = {"n": args.n, "i": args.i, **value.to_json()}
-    _emit(args, payload, value.pretty())
-    return 0
+    return payload, value.pretty
 
 
-def _cmd_distinguished(args: argparse.Namespace) -> int:
+def _cmd_distinguished(args: argparse.Namespace) -> Answer:
     from .periods import distinguished_subgroup, is_aq_lambda
 
     group = GroupTag.parse(args.group)
@@ -356,8 +341,7 @@ def _cmd_distinguished(args: argparse.Namespace) -> int:
     aq = is_aq_lambda(e)
     if aq is None:
         payload = {"group": str(group), "param": e.to_json(), "aq": None}
-        _emit(args, payload, "not of cohomologically induced shape")
-        return 0
+        return payload, lambda: "not of cohomologically induced shape"
     sub = distinguished_subgroup(e)
     payload = {
         "group": str(group),
@@ -365,11 +349,10 @@ def _cmd_distinguished(args: argparse.Namespace) -> int:
         "aq": aq.to_json(),
         "distinguished_for": str(sub),
     }
-    _emit(args, payload, f"distinguished for {sub}")
-    return 0
+    return payload, lambda: f"distinguished for {sub}"
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
+def _cmd_chain(args: argparse.Namespace) -> Answer:
     from .periods import distinguishing_chain
 
     group = GroupTag.parse(args.group)
@@ -390,12 +373,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         if chain is None
         else [{"group": str(t.group), **t.to_json()} for t in chain],
     }
-    if chain is None:
-        _emit(args, payload, "no chain")
-    else:
-        rows = [[str(t.group), t.height, t.sig.value, theta_param_str(t)] for t in chain]
-        _emit(args, payload, _table(["group", "height", "sig", "theta-parameter"], rows))
-    return 0
+    return payload, lambda: "no chain" if chain is None else _table(
+        ["group", "height", "sig", "theta-parameter"],
+        [[str(t.group), t.height, t.sig.value, theta_param_str(t)] for t in chain])
 
 
 # The largest ``cohomology --n``: the answer lists zero weights of rank about
@@ -409,14 +389,16 @@ MAX_BRANCH_TARGETS = 50_000
 MAX_ANSWER_ENTRIES = 250_000
 
 
-def _check_answer_size(command: str, entries: int) -> None:
-    """Refuse an answer of more than ``MAX_ANSWER_ENTRIES`` weight entries,
-    counted in closed form before any member is built."""
-    if entries > MAX_ANSWER_ENTRIES:
-        raise OutOfRangeError(f"{command} would list more than {MAX_ANSWER_ENTRIES} weight entries")
+def _check_answer_size(command: str, size: int, limit: int | None = None,
+                       unit: str = "weight entries") -> None:
+    """Refuse an answer of more than ``limit`` (default ``MAX_ANSWER_ENTRIES``)
+    items of ``unit``, counted in closed form before any member is built."""
+    limit = MAX_ANSWER_ENTRIES if limit is None else limit
+    if size > limit:
+        raise OutOfRangeError(f"{command} would list more than {limit} {unit}")
 
 
-def _cmd_cohomology(args: argparse.Namespace) -> int:
+def _cmd_cohomology(args: argparse.Namespace) -> Answer:
     from .cohomology import bilinear_gate, pairing_trivial_rho
 
     if args.gate is not None:
@@ -438,8 +420,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
             "small": small.to_json(),
             "degree": degree,
         }
-        _emit(args, payload, f"degree {degree}")
-        return 0
+        return payload, lambda: f"degree {degree}"
     stray = [flag for flag, value in (
         ("--group", args.group), ("--enhanced", args.enhanced),
         ("--coeff", args.coeff), ("--subcoeff", args.subcoeff),
@@ -453,8 +434,12 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
     delta = Signature.parse(args.delta)
     desc = pairing_trivial_rho(args.n, args.i, delta, args.j, args.intro_rendering)
     payload = desc.to_json()
-    _emit(args, payload, f"nonzero {desc.nonzero}")
-    return 0
+    return payload, lambda: f"nonzero {desc.nonzero}"
+
+
+# The longest ``selftest --grids`` file read, in characters; the grids files
+# in the repository hold under 1 000.  A longer file is refused unread.
+MAX_GRIDS_CHARS = 65_536
 
 
 def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
@@ -463,8 +448,11 @@ def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dic
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
+            text = fh.read(MAX_GRIDS_CHARS + 1)
+        if len(text) > MAX_GRIDS_CHARS:
+            raise OutOfRangeError(f"grid file {path!r} is longer than {MAX_GRIDS_CHARS} characters")
+        data = json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise OutOfRangeError(f"cannot read grid file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise OutOfRangeError(f"grid file {path!r} must hold a JSON object")
@@ -481,7 +469,7 @@ def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dic
     return data
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> Answer:
     from .oracle import default_bounds, run_suite
 
     overrides = _load_grids(args.grids, default_bounds()) if args.grids else {}
@@ -491,9 +479,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    table = "\n".join(r.summary_line() for r in reports)
-    _emit(args, payload, table)
-    return 0 if payload["passed"] else 4
+    return payload, lambda: "\n".join(r.summary_line() for r in reports)
 
 
 # ---------------------------------------------------------------- parser
@@ -593,9 +579,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The subcommand is the first argument that names one (the top level takes no values).
     args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
-        code = COMMANDS[args.command][1](args)
+        answer, table = COMMANDS[args.command][1](args)
+        print(table() if args.table else json.dumps(answer, ensure_ascii=False, indent=2))
         sys.stdout.flush()  # a reader that stopped early shows here, not at exit
-        return code
+        return 4 if answer.get("passed") is False else 0
     except SobranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

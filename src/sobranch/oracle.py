@@ -152,8 +152,7 @@ def grid_weights(group: GroupTag, max_entry: int) -> Iterator[Weight]:
     """All theta-weights for SO(N,1) with entries bounded, self-dual when N is odd."""
     if max_entry < 0:  # as in so_weights
         return
-    free = group.rank - (0 if group.is_even else 1)
-    for body in combinations_with_replacement(range(max_entry, -1, -1), free):
+    for body in combinations_with_replacement(range(max_entry, -1, -1), group.free_rank):
         yield Weight(body if group.is_even else body + (0,))
 
 

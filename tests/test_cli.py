@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from sobranch.cli import main
 
 from conftest import src_env
+from make_cli_corpus import replay, write_files
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +293,37 @@ class TestSelftest:
             return data["suites"][0]["cases_run"]
 
         assert cases({"max_group": 5}) == cases({"max_group": 5, "max_entry": 4})
+
+    def test_deeply_nested_grids_is_2(self, capsys, tmp_path):
+        # json's decoder recurses once per bracket: 1 000 of them ended in a
+        # RecursionError traceback and exit 1.
+        grids = tmp_path / "deep.json"
+        grids.write_text("[" * 10_000)
+        code, out, err = run_cli(capsys, "selftest", "--grids", str(grids))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read grid file {str(grids)!r}: maximum recursion depth")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    def test_endless_grids_file_is_2(self, capsys):
+        # It was read until memory ran out: a MemoryError traceback and exit 1
+        # under a 400 MB address-space limit.
+        from sobranch.cli import MAX_GRIDS_CHARS
+
+        code, out, err = run_cli(capsys, "selftest", "--grids", "/dev/zero")
+        assert (code, out) == (2, "")
+        assert err == f"error: grid file '/dev/zero' is longer than {MAX_GRIDS_CHARS} characters\n"
+
+    def test_grids_length_bound_is_inclusive(self, capsys, tmp_path):
+        from sobranch.cli import MAX_GRIDS_CHARS
+
+        grids = tmp_path / "grids.json"
+        argv = ["selftest", "--grids", str(grids), "--suite", "trivial-rho-diagrams"]
+        text = json.dumps({"trivial-rho-diagrams": {"max_n": 3}})
+        grids.write_text(text.ljust(MAX_GRIDS_CHARS))
+        assert run_cli(capsys, *argv)[0] == 0
+        grids.write_text(text.ljust(MAX_GRIDS_CHARS + 1))
+        assert run_cli(capsys, *argv)[:2] == (2, "")
 
     def test_cli_import_leaves_process_pool_unloaded(self):
         # The rest of the import footprint too: no dataclasses (with inspect),
@@ -761,6 +793,14 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.fixture(scope="session")
+def corpus_files(tmp_path_factory):
+    """A directory holding the files that corpus calls name as "{tmp}/NAME"."""
+    tmp = tmp_path_factory.mktemp("corpus")
+    write_files(tmp)
+    return tmp
+
+
 class TestArgvFuzz:
     # The random stream rarely pairs a size refusal's input with its
     # subcommand, so each refusal is also an explicit example.
@@ -774,9 +814,12 @@ class TestArgvFuzz:
     @example(argv=HUGE_ANSWER["diagram"])
     @example(argv=HUGE_ANSWER["chain"])
     @example(argv=["distinguished", "--group", "SO(2,1)", "--enhanced", "0;h=1;sig=pm"])
+    @example(argv=["selftest", "--grids", "{tmp}/deep.json"])
+    @example(argv=["selftest", "--grids", "/dev/zero"])
     @given(argv=argvs())
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_exit_contract(self, argv):
+    def test_exit_contract(self, argv, corpus_files):
+        argv = [a.replace("{tmp}", str(corpus_files)) for a in argv]
         first = run_in_process(argv)
         code, out, err = first
         assert code in (0, 2, 3, 4), (argv, first)
@@ -815,8 +858,35 @@ class TestSelftestGolden:
         assert run_in_process(call["argv"]) == (call["exit"], call["stdout"], call["stderr"])
 
 
+CORPUS = json.loads(Path(__file__).with_name("cli_corpus_golden.json").read_text(encoding="utf-8"))
+
+
+class TestCliCorpus:
+    """Exit code, stdout and stderr of each call in ``cli_corpus_golden.json``
+    (written by ``make_cli_corpus.py``), compared through their sha256.  A
+    usage error is argparse's text, checked on the recorded Python only."""
+
+    def test_matches_golden(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])  # perfbench/grids/... is relative
+        monkeypatch.setenv("COLUMNS", "80")
+        write_files(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(CORPUS["int_max_str_digits"])
+        try:
+            calls = [replay(call["argv"], tmp_path) for call in CORPUS["calls"]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if sys.version_info[:2] != tuple(CORPUS["python"]):
+            for want, got in zip(CORPUS["calls"], calls):
+                if want.get("argparse"):
+                    got["stderr"] = want["stderr"]
+        wrong = [(want, got) for want, got in zip(CORPUS["calls"], calls) if want != got]
+        assert not wrong, f"{len(wrong)} of {len(calls)} calls differ; the first (want, got): {wrong[0]}"
+
+
 class TestSuiteFailureExitCode:
-    def test_exit_4_on_failing_suite(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mode", ["--json", "--table"])
+    def test_exit_4_on_failing_suite(self, capsys, monkeypatch, mode):
         # The selftest handler reads run_suite off sobranch.oracle when it runs.
         import sobranch.oracle as oracle_mod
         from sobranch.oracle import SuiteReport
@@ -825,6 +895,38 @@ class TestSuiteFailureExitCode:
             return SuiteReport(name, 1, [{"boom": True}], 0.0)
 
         monkeypatch.setattr(oracle_mod, "run_suite", fake_run_suite)
-        code, out, _ = run_cli(capsys, "selftest", "--suite", "roundtrip")
+        code, out, _ = run_cli(capsys, "selftest", "--suite", "roundtrip", mode)
         assert code == 4
-        assert json.loads(out)["passed"] is False
+        if mode == "--json":
+            assert json.loads(out)["passed"] is False
+        else:
+            assert out == "roundtrip" + " " * 22 + "1 cases  FAIL (1)\n"
+
+
+class TestOneRendering:
+    """A handler returns its answer and a table function; only the mode asked for is drawn."""
+
+    DIAGRAM = ["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0", "--json"]
+
+    def test_json_mode_draws_no_table(self, capsys, monkeypatch):
+        # The diagram handler reads render_diagram off sobranch.branching when it runs.
+        import sobranch.branching as branching_mod
+
+        expected = run_cli(capsys, *self.DIAGRAM)
+        assert expected[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("render_diagram called in JSON mode")
+
+        monkeypatch.setattr(branching_mod, "render_diagram", refuse)
+        assert run_cli(capsys, *self.DIAGRAM) == expected
+
+    def test_json_diagram_builds_each_sequence_once(self, capsys, monkeypatch):
+        import sobranch.branching as branching_mod
+
+        built = []
+        original = branching_mod.standard_sequence
+        monkeypatch.setattr(branching_mod, "standard_sequence",
+                            lambda *a: built.append(a) or original(*a))
+        assert run_cli(capsys, *self.DIAGRAM)[0] == 0
+        assert len(built) == 2
