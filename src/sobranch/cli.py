@@ -437,8 +437,8 @@ def _cmd_cohomology(args: argparse.Namespace) -> Answer:
     return payload, lambda: f"nonzero {desc.nonzero}"
 
 
-# The longest ``selftest --grids`` file read, in characters; the grids files
-# in the repository hold under 1 000.  A longer file is refused unread.
+# The longest ``selftest --grids`` file, in characters; a longer one is refused
+# once that many are read.  The grids files in the repository hold under 1 000.
 MAX_GRIDS_CHARS = 65_536
 
 

@@ -5,7 +5,9 @@ Each entry is a call of ``sobranch.cli.main(argv)`` in process, with its
 exit code and the sha256 of its stdout and of its stderr.  The calls are
 the argvs of the cli-mix benchmark corpus, each README example in JSON and
 ``--table`` mode (but the default ``selftest``, which tests/selftest_golden.json
-pins byte for byte), and the size and digit refusals of tests/test_cli.py.
+pins byte for byte), the size and digit refusals of tests/test_cli.py, the
+SO(2,1) ``distinguished`` refusal, and two ``selftest --grids`` files that
+must be refused.
 
 Run from the repository root:
 
@@ -22,15 +24,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 GOLDEN = TESTS / "cli_corpus_golden.json"
 CLI_MIX = ROOT / "perfbench" / "corpus" / "cli-mix.json.gz"
-# Files a call names as "{tmp}/NAME"; each is TEXT repeated COUNT times.
-FILES = {"deep.json": ["[", 10_000]}
 
 
 def corpus_argvs() -> list[list[str]]:
@@ -65,28 +64,23 @@ def corpus_argvs() -> list[list[str]]:
         )
         for width in (limit - 1, limit)
     ] if limit else []
-    grids = [["selftest", "--grids", "{tmp}/deep.json"], ["selftest", "--grids", "/dev/zero"]]
+    grids = [["selftest", "--grids", path]
+             for path in ("tests/grids_nested_too_deep.json", "/dev/zero")]
     return argvs + both + period + digits + [
         ["distinguished", "--group", "SO(2,1)", "--enhanced", "0;h=1;sig=pm"],
     ] + grids
 
 
-def write_files(tmp: Path) -> None:
-    for name, (text, count) in FILES.items():
-        (tmp / name).write_text(text * count, encoding="utf-8")
-
-
-def replay(argv: list[str], tmp: Path) -> dict:
-    """One corpus entry: the call with "{tmp}" filled in; "{tmp}" back in its
-    stderr.  A usage error is marked, as its text is argparse's."""
+def replay(argv: list[str]) -> dict:
+    """One corpus entry; a usage error is marked, as its text is argparse's."""
     from test_cli import run_in_process
 
-    code, out, err = run_in_process([a.replace("{tmp}", str(tmp)) for a in argv])
+    code, out, err = run_in_process(argv)
     entry = {
         "argv": argv,
         "exit": code,
         "stdout": hashlib.sha256(out.encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.replace(str(tmp), "{tmp}").encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.encode()).hexdigest(),
     }
     if err.startswith("usage: "):
         entry["argparse"] = True
@@ -94,11 +88,9 @@ def replay(argv: list[str], tmp: Path) -> dict:
 
 
 def main() -> None:
-    os.chdir(ROOT)  # the cli-mix argvs name perfbench/grids/... relatively
+    os.chdir(ROOT)  # the argvs name grids files relative to the root
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal
-    with tempfile.TemporaryDirectory() as tmp:
-        write_files(Path(tmp))
-        calls = [replay(argv, Path(tmp)) for argv in corpus_argvs()]
+    calls = [replay(argv) for argv in corpus_argvs()]
     head = {
         "_comment": "(exit, sha256 of stdout, sha256 of stderr) of sobranch.cli.main(argv) in "
                     "process, run from the repository root with COLUMNS=80; written by "
@@ -106,7 +98,6 @@ def main() -> None:
                     "Usage errors are pinned on the Python minor version given only.",
         "python": list(sys.version_info[:2]),
         "int_max_str_digits": sys.get_int_max_str_digits(),
-        "files": FILES,
     }
     lines = [json.dumps(call, ensure_ascii=False) for call in calls]
     text = json.dumps(head, ensure_ascii=False, indent=1)[:-2]

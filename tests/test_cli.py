@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from sobranch.cli import main
 
 from conftest import src_env
-from make_cli_corpus import replay, write_files
+from make_cli_corpus import replay
 
 
 def run_cli(capsys, *argv):
@@ -294,14 +294,12 @@ class TestSelftest:
 
         assert cases({"max_group": 5}) == cases({"max_group": 5, "max_entry": 4})
 
-    def test_deeply_nested_grids_is_2(self, capsys, tmp_path):
+    def test_deeply_nested_grids_is_2(self, capsys):
         # json's decoder recurses once per bracket: 1 000 of them ended in a
-        # RecursionError traceback and exit 1.
-        grids = tmp_path / "deep.json"
-        grids.write_text("[" * 10_000)
-        code, out, err = run_cli(capsys, "selftest", "--grids", str(grids))
+        # RecursionError traceback and exit 1.  The file holds 10 000.
+        code, out, err = run_cli(capsys, "selftest", "--grids", DEEP_GRIDS)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read grid file {str(grids)!r}: maximum recursion depth")
+        assert err.startswith(f"error: cannot read grid file {DEEP_GRIDS!r}: maximum recursion depth")
         assert err.count("\n") == 1
 
     @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
@@ -329,6 +327,10 @@ class TestSelftest:
         # The rest of the import footprint too: no dataclasses (with inspect),
         # no fractions (with decimal), and none of the modules classify skips.
         assert loaded_after("import sobranch.cli", HEAVY_STDLIB + UNUSED_BY_CLASSIFY) == []
+
+
+# A grids file of 10 000 "[", far past json's recursion limit in any process.
+DEEP_GRIDS = str(Path(__file__).with_name("grids_nested_too_deep.json"))
 
 
 HEAVY_STDLIB = ["concurrent.futures", "dataclasses", "inspect", "fractions", "decimal"]
@@ -793,14 +795,6 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(scope="session")
-def corpus_files(tmp_path_factory):
-    """A directory holding the files that corpus calls name as "{tmp}/NAME"."""
-    tmp = tmp_path_factory.mktemp("corpus")
-    write_files(tmp)
-    return tmp
-
-
 class TestArgvFuzz:
     # The random stream rarely pairs a size refusal's input with its
     # subcommand, so each refusal is also an explicit example.
@@ -814,12 +808,11 @@ class TestArgvFuzz:
     @example(argv=HUGE_ANSWER["diagram"])
     @example(argv=HUGE_ANSWER["chain"])
     @example(argv=["distinguished", "--group", "SO(2,1)", "--enhanced", "0;h=1;sig=pm"])
-    @example(argv=["selftest", "--grids", "{tmp}/deep.json"])
+    @example(argv=["selftest", "--grids", DEEP_GRIDS])
     @example(argv=["selftest", "--grids", "/dev/zero"])
     @given(argv=argvs())
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_exit_contract(self, argv, corpus_files):
-        argv = [a.replace("{tmp}", str(corpus_files)) for a in argv]
+    def test_exit_contract(self, argv):
         first = run_in_process(argv)
         code, out, err = first
         assert code in (0, 2, 3, 4), (argv, first)
@@ -866,14 +859,13 @@ class TestCliCorpus:
     (written by ``make_cli_corpus.py``), compared through their sha256.  A
     usage error is argparse's text, checked on the recorded Python only."""
 
-    def test_matches_golden(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(Path(__file__).resolve().parents[1])  # perfbench/grids/... is relative
+    def test_matches_golden(self, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])  # grids files are named relatively
         monkeypatch.setenv("COLUMNS", "80")
-        write_files(tmp_path)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(CORPUS["int_max_str_digits"])
         try:
-            calls = [replay(call["argv"], tmp_path) for call in CORPUS["calls"]]
+            calls = [replay(call["argv"]) for call in CORPUS["calls"]]
         finally:
             sys.set_int_max_str_digits(limit)
         if sys.version_info[:2] != tuple(CORPUS["python"]):
