@@ -38,7 +38,7 @@ _EXPORTS = {
                "distinguishing_chain is_aq_lambda minimal_k_type_trivial_rho period_value",
     "cohomology": "PairingDescriptor bilinear_gate bilinear_nonzero_trivial_rho "
                   "pairing_trivial_rho",
-    "oracle": "SuiteReport compact_branch_so run_all run_suite",
+    "oracle": "SuiteReport compact_branch_so run_suite",
     "errors": "SobranchError",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -223,9 +223,7 @@ def branch_count(big: EnhancedParam) -> int:
     return count_interlacing(big.s, sub.free_rank) * len(branch_states(sub, big.height, big.sig))
 
 
-def sb_diagram(
-    group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
-) -> list[Arrow]:
+def sb_diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> list[Arrow]:
     """All nonzero symmetry-breaking arrows between two standard sequences.
 
     Both sequences start with signature ``sig``; arrows are exactly the pairs
@@ -236,9 +234,8 @@ def sb_diagram(
     return _diagram(group, s, s_sub, sig)[2]
 
 
-def _diagram(
-    group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
-) -> tuple[list[EnhancedParam], list[EnhancedParam], list[Arrow]]:
+def _diagram(group: GroupTag, s: Weight, s_sub: Weight,
+             sig: Signature) -> tuple[list[EnhancedParam], list[EnhancedParam], list[Arrow]]:
     """The two standard sequences of ``sb_diagram``, each built once, and its arrows."""
     sub = group.subgroup
     check_weight(s, group)
@@ -257,24 +254,30 @@ def _diagram(
     return seq_g, seq_h, arrows
 
 
-def diagram_to_json(
-    group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
-) -> dict:
-    seq_g, seq_h, arrows = _diagram(group, s, s_sub, sig)
+def diagram_to_json(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> dict:
+    return _diagram_json(*_diagram(group, s, s_sub, sig))
+
+
+def render_diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> str:
+    """Aligned ASCII view of the two standard sequences and their arrows."""
+    return _draw_diagram(*_diagram(group, s, s_sub, sig))
+
+
+def _diagram_json(seq_g: list[EnhancedParam], seq_h: list[EnhancedParam],
+                  arrows: list[Arrow]) -> dict:
+    """``diagram_to_json`` of the parts ``_diagram`` built."""
     return {
-        "group": str(group),
-        "subgroup": str(group.subgroup),
+        "group": str(seq_g[0].group),
+        "subgroup": str(seq_h[0].group),
         "top": [e.to_json() for e in seq_g],
         "bottom": [e.to_json() for e in seq_h],
         "arrows": [[a.from_height, a.to_height] for a in arrows],
     }
 
 
-def render_diagram(
-    group: GroupTag, s: Weight, s_sub: Weight, sig: Signature
-) -> str:
-    """Aligned ASCII view of the two standard sequences and their arrows."""
-    seq_g, seq_h, arrow_list = _diagram(group, s, s_sub, sig)
+def _draw_diagram(seq_g: list[EnhancedParam], seq_h: list[EnhancedParam],
+                  arrow_list: list[Arrow]) -> str:
+    """``render_diagram`` of the parts ``_diagram`` built."""
     arrows = {(a.from_height, a.to_height) for a in arrow_list}
     labels_g = [theta_param_str(e) for e in seq_g]
     labels_h = [theta_param_str(e) for e in seq_h]

@@ -6,13 +6,15 @@ supported family, 4 verification-suite failure.  A reader that closes
 stdout early ends a computed call with 0 and nothing on stderr.
 
 Each ``_cmd_*`` handler returns an ``Answer``: the JSON dict, and a function
-drawing the ``--table`` text, called in that mode only.  ``main`` alone
-prints and picks the exit code: 4 when the answer holds ``"passed": false``
-(a failing ``selftest``), else 0, or a package error's own code.
+drawing the ``--table`` text, called in that mode only.  A handler whose
+answer lists items sizes it with ``_check_answer_size`` before any work.
+``main`` alone prints and picks the exit code: 4 when the answer holds
+``"passed": false`` (a failing ``selftest``), else 0, or a package error's own code.
 
 Only ``weights`` and ``reps`` load with this module; a handler imports the
-rest of the library (``branching``, ``periods``, ``cohomology``, ``oracle``)
-when it runs, so a call loads only what its subcommand uses.
+rest of the library (``branching``, ``periods``, ``cohomology``, ``oracle``,
+which also reads ``selftest --grids`` files) when it runs, so a call loads
+only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import SUITE_NAMES, __version__
-from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError, UnknownSuiteError
+from .errors import InvalidDescriptorError, OutOfRangeError, SobranchError
 from .reps import (
     DiscreteSeries,
     EnhancedParam,
@@ -288,14 +290,15 @@ def _cmd_branch_fd(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> Answer:
-    from .branching import diagram_to_json, render_diagram
+    from .branching import _diagram, _diagram_json, _draw_diagram
 
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     s_sub = validate_weight(_parse_csv_ints(args.subweight), group.subgroup)
     sig = Signature.parse(args.sig)
     _check_answer_size("diagram", sum((g.top_height + 1) * g.rank for g in (group, group.subgroup)))
-    return diagram_to_json(group, s, s_sub, sig), lambda: render_diagram(group, s, s_sub, sig)
+    parts = _diagram(group, s, s_sub, sig)  # built once, drawn in either mode
+    return _diagram_json(*parts), lambda: _draw_diagram(*parts)
 
 
 def _cmd_gp_check(args: argparse.Namespace) -> Answer:
@@ -378,14 +381,11 @@ def _cmd_chain(args: argparse.Namespace) -> Answer:
         [[str(t.group), t.height, t.sig.value, theta_param_str(t)] for t in chain])
 
 
-# The largest ``cohomology --n``: the answer lists zero weights of rank about
-# n/2, so its size grows with n.
-MAX_COHOMOLOGY_N = 10_000
 # The most targets ``branch`` (list mode) or components ``branch-fd`` lists;
 # both sizes are closed forms, checked before anything is enumerated.
 MAX_BRANCH_TARGETS = 50_000
-# The most weight entries (members times rank) ``classify``, ``hasse`` or
-# ``diagram`` lists; the answer grows as the square of the group's rank.
+# The most weight entries (members times rank) an answer of ``classify``, ``hasse``,
+# ``diagram``, ``chain`` or ``cohomology`` lists, counted before any member is built.
 MAX_ANSWER_ENTRIES = 250_000
 
 
@@ -429,50 +429,18 @@ def _cmd_cohomology(args: argparse.Namespace) -> Answer:
         raise OutOfRangeError(f"cohomology {', '.join(stray)} only apply in gate mode (--gate)")
     if args.n is None or args.i is None or args.j is None:
         raise OutOfRangeError("cohomology needs --n, --i and --j (or gate mode flags)")
-    if args.n > MAX_COHOMOLOGY_N:
-        raise OutOfRangeError(f"cohomology --n must be at most {MAX_COHOMOLOGY_N}, got {args.n}")
+    # Two zero weights of SO(n+1,1) (parameter and coefficient), one of SO(n,1).
+    _check_answer_size("cohomology", 2 * ((args.n + 2) // 2) + (args.n + 1) // 2)
     delta = Signature.parse(args.delta)
     desc = pairing_trivial_rho(args.n, args.i, delta, args.j, args.intro_rendering)
     payload = desc.to_json()
     return payload, lambda: f"nonzero {desc.nonzero}"
 
 
-# The longest ``selftest --grids`` file, in characters; a longer one is refused
-# once that many are read.  The grids files in the repository hold under 1 000.
-MAX_GRIDS_CHARS = 65_536
-
-
-def _load_grids(path: str, defaults: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
-    """Read a grid-bounds override file: {suite: {bound: integer}}."""
-    from .oracle import check_bounds
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read(MAX_GRIDS_CHARS + 1)
-        if len(text) > MAX_GRIDS_CHARS:
-            raise OutOfRangeError(f"grid file {path!r} is longer than {MAX_GRIDS_CHARS} characters")
-        data = json.loads(text)
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise OutOfRangeError(f"cannot read grid file {path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise OutOfRangeError(f"grid file {path!r} must hold a JSON object")
-    data.pop("_comment", None)
-    for suite, bounds in data.items():
-        if suite not in SUITE_NAMES:
-            raise UnknownSuiteError(
-                f"grid file {path!r}: unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
-            )
-        try:
-            check_bounds(suite, bounds, defaults)
-        except OutOfRangeError as exc:
-            raise OutOfRangeError(f"grid file {path!r}: {exc}") from None
-    return data
-
-
 def _cmd_selftest(args: argparse.Namespace) -> Answer:
-    from .oracle import default_bounds, run_suite
+    from .oracle import load_grids, run_suite
 
-    overrides = _load_grids(args.grids, default_bounds()) if args.grids else {}
+    overrides = load_grids(args.grids) if args.grids else {}
     names = dict.fromkeys(args.suite or SUITE_NAMES)  # a repeated --suite runs once
     reports = [run_suite(name, overrides.get(name)) for name in names]
     payload = {

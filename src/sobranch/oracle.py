@@ -4,7 +4,8 @@ The classical compact branching rule implemented here is deliberately
 separate from the Lorentz-group decision procedures, so a suite failure
 localizes a bug to either the classical substrate or the engine built on
 top of it.  Every suite sweeps a finite grid deterministically; reports are
-reproducible bit for bit for fixed bounds.
+reproducible bit for bit for fixed bounds, which are parsed and checked here
+only (suite_grids.json and ``selftest --grids`` files).
 """
 
 from __future__ import annotations
@@ -353,18 +354,53 @@ _SUITES: dict[str, Callable[[dict], tuple[int, _Failures]]] = {
 }
 
 
-def default_bounds() -> dict:
-    """Grid bounds shipped with the package (see suite_grids.json)."""
-    text = resources.files("sobranch").joinpath("suite_grids.json").read_text()
+# The longest file ``load_grids`` reads, in characters; a longer one is refused
+# once that many are read.  The grids files in the repository hold under 1 000.
+MAX_GRIDS_CHARS = 65_536
+
+
+def _parse_bounds(text: str, source: str) -> dict:
+    """The grid-bounds format: a JSON object {suite: {bound: integer}}, less its ``_comment``."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise OutOfRangeError(f"{source} must hold a JSON object")
     data.pop("_comment", None)
     return data
 
 
+def default_bounds() -> dict:
+    """Grid bounds shipped with the package (see suite_grids.json)."""
+    text = resources.files("sobranch").joinpath("suite_grids.json").read_text()
+    return _parse_bounds(text, "suite_grids.json")
+
+
+def load_grids(path: str) -> dict:
+    """Read a grid-bounds override file and ``check_bounds`` each suite's bounds; an
+    unreadable file, or one longer than ``MAX_GRIDS_CHARS``, raises ``OutOfRangeError``."""
+    source = f"grid file {path!r}"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read(MAX_GRIDS_CHARS + 1)
+        if len(text) > MAX_GRIDS_CHARS:
+            raise OutOfRangeError(f"{source} is longer than {MAX_GRIDS_CHARS} characters")
+        data = _parse_bounds(text, source)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise OutOfRangeError(f"cannot read {source}: {exc}") from exc
+    defaults = default_bounds()
+    for suite, bounds in data.items():
+        try:
+            check_bounds(suite, bounds, defaults)
+        except (UnknownSuiteError, OutOfRangeError) as exc:
+            raise type(exc)(f"{source}: {exc}") from None
+    return data
+
+
 def check_bounds(suite: str, bounds: dict, defaults: dict) -> None:
-    """Raise ``OutOfRangeError`` unless bounds is a dict whose keys
-    ``defaults[suite]`` lists and whose values are integers; each key is
-    checked before its value."""
+    """Raise ``UnknownSuiteError`` unless ``suite`` is a suite name, and
+    ``OutOfRangeError`` unless bounds is a dict whose keys ``defaults[suite]``
+    lists and whose values are integers; each key is checked before its value."""
+    if suite not in SUITE_NAMES:
+        raise UnknownSuiteError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if not isinstance(bounds, dict):
         raise OutOfRangeError(f"bounds of {suite!r} must be an object")
     known = defaults[suite]
@@ -383,10 +419,6 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     value that is not an integer, or bounds whose grid holds no case (a pass
     that checked nothing) raise ``OutOfRangeError``.
     """
-    if suite not in _SUITES:
-        raise UnknownSuiteError(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}"
-        )
     bounds = bounds or {}
     defaults = default_bounds()
     check_bounds(suite, bounds, defaults)
@@ -397,8 +429,3 @@ def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
     if not cases:
         raise OutOfRangeError(f"the bounds of {suite!r} select no case; nothing was checked")
     return SuiteReport(suite, cases, list(failures), elapsed, failures.total)
-
-
-def run_all(bounds_map: dict | None = None) -> list[SuiteReport]:
-    """Run every suite with the given (or default) bounds, in registry order."""
-    return [run_suite(name, (bounds_map or {}).get(name)) for name in SUITE_NAMES]

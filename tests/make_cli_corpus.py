@@ -46,7 +46,7 @@ def corpus_argvs() -> list[list[str]]:
         ["branch", "--group", "SO(5,1)", "--enhanced", f"1{'0' * 29},0,0;h=0;sig=+"],
         ["branch-fd", "--group", "SO(5,1)", "--weight", f"1{'0' * 29},0,0", "--delta", "+"],
         *(["cohomology", "--n", str(n), "--i", "1", "--j", "1"]
-          for n in (10_000, 10_001, 2_000_000, 10**30)),
+          for n in (10_000, 10_001, 2_000_000)),  # 10**30 is in HUGE_ANSWER
         *(["period", "--n", n, "--i", i, "--ktype"]
           for n, i in (("20000", "10000"), ("1000000", "500000"), (str(10**3999), "1"))),
     ]]

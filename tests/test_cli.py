@@ -306,14 +306,14 @@ class TestSelftest:
     def test_endless_grids_file_is_2(self, capsys):
         # It was read until memory ran out: a MemoryError traceback and exit 1
         # under a 400 MB address-space limit.
-        from sobranch.cli import MAX_GRIDS_CHARS
+        from sobranch.oracle import MAX_GRIDS_CHARS
 
         code, out, err = run_cli(capsys, "selftest", "--grids", "/dev/zero")
         assert (code, out) == (2, "")
         assert err == f"error: grid file '/dev/zero' is longer than {MAX_GRIDS_CHARS} characters\n"
 
     def test_grids_length_bound_is_inclusive(self, capsys, tmp_path):
-        from sobranch.cli import MAX_GRIDS_CHARS
+        from sobranch.oracle import MAX_GRIDS_CHARS
 
         grids = tmp_path / "grids.json"
         argv = ["selftest", "--grids", str(grids), "--suite", "trivial-rho-diagrams"]
@@ -517,22 +517,6 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"has {limit} digits or more" in err
 
-    def test_cohomology_n_past_the_bound_is_2(self, capsys):
-        # A 31-digit --n ended in an OverflowError traceback; 2 000 000 wrote
-        # 29 MB of zero weights.  The bound is checked before any weight.
-        from sobranch.cli import MAX_COHOMOLOGY_N
-
-        for n in (MAX_COHOMOLOGY_N + 1, 2_000_000, 10**30):
-            for mode in ("--json", "--table"):
-                code, out, err = run_cli(capsys, "cohomology", "--n", str(n), "--i", "1", "--j", "1",
-                                         mode)
-                assert (code, out) == (2, "")
-                assert err == f"error: cohomology --n must be at most {MAX_COHOMOLOGY_N}, got {n}\n"
-        code, out, err = run_cli(capsys, "cohomology", "--n", str(MAX_COHOMOLOGY_N), "--i", "1",
-                                 "--j", "1")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["nonzero"] is False
-
     @pytest.mark.parametrize("argv, what", [
         (["branch", "--group", "SO(5,1)", "--enhanced", f"1{'0' * 29},0,0;h=0;sig=+"], "targets"),
         (["branch-fd", "--group", "SO(5,1)", "--weight", f"1{'0' * 29},0,0", "--delta", "+"],
@@ -561,10 +545,11 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "MAX_BRANCH_TARGETS", size - 1)
             assert run_cli(capsys, *argv)[:2] == (2, "")
 
-    @pytest.mark.parametrize("command", ["classify", "hasse", "diagram", "chain"])
+    @pytest.mark.parametrize("command", ["classify", "hasse", "diagram", "chain", "cohomology"])
     def test_answer_past_the_bound_is_2(self, capsys, command):
         # At SO(2001,1) these answers run to megabytes; their weight entries
-        # are counted before any member is built.
+        # are counted before any member is built.  A 31-digit cohomology --n
+        # ended in an OverflowError traceback.
         from sobranch.cli import MAX_ANSWER_ENTRIES
 
         for mode in ("--json", "--table"):
@@ -584,6 +569,9 @@ class TestExitCodes:
         (["chain", "--group", "SO(6,1)", "--enhanced", "1,1,0;h=1;sig=+", "--target", "SO(3,1)",
           "--psi", "+"],
          lambda data: [node["weight"] for node in data["chain"]]),
+        *((["cohomology", "--n", n, "--i", "1", "--j", "1"],
+           lambda data: [data["left"]["param"]["weight"], data["left"]["coefficient"],
+                         data["right"]["coefficient"]]) for n in ("4", "5")),
     ])
     def test_answer_bound_is_inclusive(self, capsys, monkeypatch, argv, weights):
         # The closed form counts exactly the weight entries the answer lists.
@@ -610,7 +598,8 @@ class TestExitCodes:
         assert code == 3
 
 
-# Calls whose answer would pass ``cli.MAX_ANSWER_ENTRIES``: SO(2001,1) has rank 1001.
+# Calls whose answer would pass ``cli.MAX_ANSWER_ENTRIES``: SO(2001,1) has rank 1001, and
+# cohomology at n = 10^30 would list zero weights of rank about n/2.
 HUGE_ANSWER = {
     "classify": ["classify", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001)],
     "hasse": ["hasse", "--group", "SO(2001,1)", "--weight", ",".join(["0"] * 1001)],
@@ -618,6 +607,7 @@ HUGE_ANSWER = {
                 "--subweight", ",".join(["0"] * 1000)],
     "chain": ["chain", "--group", "SO(2001,1)", "--enhanced", ",".join(["0"] * 1001) + ";h=0;sig=+",
               "--target", "SO(2,1)", "--psi", "+"],
+    "cohomology": ["cohomology", "--n", str(10**30), "--i", "1", "--j", "1"],
 }
 
 
@@ -901,16 +891,16 @@ class TestOneRendering:
     DIAGRAM = ["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0", "--json"]
 
     def test_json_mode_draws_no_table(self, capsys, monkeypatch):
-        # The diagram handler reads render_diagram off sobranch.branching when it runs.
+        # The diagram handler reads _draw_diagram off sobranch.branching when it runs.
         import sobranch.branching as branching_mod
 
         expected = run_cli(capsys, *self.DIAGRAM)
         assert expected[0] == 0
 
         def refuse(*args):
-            raise AssertionError("render_diagram called in JSON mode")
+            raise AssertionError("_draw_diagram called in JSON mode")
 
-        monkeypatch.setattr(branching_mod, "render_diagram", refuse)
+        monkeypatch.setattr(branching_mod, "_draw_diagram", refuse)
         assert run_cli(capsys, *self.DIAGRAM) == expected
 
     def test_json_diagram_builds_each_sequence_once(self, capsys, monkeypatch):
@@ -922,3 +912,17 @@ class TestOneRendering:
                             lambda *a: built.append(a) or original(*a))
         assert run_cli(capsys, *self.DIAGRAM)[0] == 0
         assert len(built) == 2
+
+    def test_table_diagram_builds_each_sequence_once(self, capsys, monkeypatch):
+        # The answer and the table are drawn from one build: two standard
+        # sequences and one arrow search, as in JSON mode.
+        import sobranch.branching as branching_mod
+
+        built, searched = [], []
+        sequence, diagram = branching_mod.standard_sequence, branching_mod._diagram
+        monkeypatch.setattr(branching_mod, "standard_sequence",
+                            lambda *a: built.append(a) or sequence(*a))
+        monkeypatch.setattr(branching_mod, "_diagram", lambda *a: searched.append(a) or diagram(*a))
+        code, out, _ = run_cli(capsys, *self.DIAGRAM[:-1], "--table")
+        assert (code, len(built), len(searched)) == (0, 2, 1)
+        assert out == branching_mod.render_diagram(*searched[0]) + "\n"

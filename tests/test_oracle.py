@@ -13,7 +13,6 @@ from sobranch import (
     Signature,
     Weight,
     compact_branch_so,
-    run_all,
     run_suite,
     weyl_dim,
 )
@@ -197,11 +196,6 @@ class TestSuites:
         b = run_suite("roundtrip", SMALL_BOUNDS["roundtrip"])
         assert (a.suite, a.cases_run, a.failures) == (b.suite, b.cases_run, b.failures)
 
-    def test_run_all_order(self):
-        reports = run_all(SMALL_BOUNDS)
-        assert [r.suite for r in reports] == list(SUITE_NAMES)
-        assert all(r.passed for r in reports)
-
     def test_json_shape(self):
         report = run_suite("trivial-rho-diagrams", {"max_n": 4})
         data = report.to_json()
@@ -369,8 +363,8 @@ def test_package_has_no_assert_statement():
     # Invariants raise package errors, which survive python -O; assert does not.
     package = Path(oracle.__file__).parent
     asserts = [
-        (path.name, node.lineno)
-        for path in sorted(package.glob("*.py"))
+        (str(path.relative_to(package)), node.lineno)
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
