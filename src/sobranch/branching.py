@@ -118,8 +118,8 @@ def multiplicity(big: EnhancedParam, small: EnhancedParam) -> int:
 
 def multiplicity_rows(
     bigs: Iterable[EnhancedParam], smalls: Iterable[EnhancedParam]
-) -> Iterator[list[int]]:
-    """Yield ``[multiplicity(big, q) for q in smalls]`` for each big, in order.
+) -> Iterator[bytes]:
+    """Yield ``bytes(multiplicity(big, q) for q in smalls)`` for each big, in order.
 
     The smalls are indexed once by their distinct (height, signature) states
     and distinct theta-weights, and each row is laid out weight-major: the
@@ -132,14 +132,17 @@ def multiplicity_rows(
     most as many interlacing weights as there are distinct small weights,
     each of them (``interlacing_entries``) is looked up among the smalls';
     otherwise each small weight is tested with ``interlaces``, so a big
-    weight with huge entries never enumerates its targets.  A row is a fresh
-    ``[0] * (W * S)`` with that state vector written into each interlacing
+    weight with huge entries never enumerates its targets.  A row is a zeroed
+    ``bytearray(W * S)`` with that state vector sliced into each interlacing
     weight's block.  When the smalls are exactly that product in that order,
     every weight with the same states in the same order (as
-    ``oracle.grid_enhanced`` lists them), the fresh table is the row; any
-    other order, repeat or subset of smalls reads the row from the table at
-    each small's cell.  A small outside the big's rank-one subgroup raises
-    ``multiplicity``'s ``GroupMismatchError``, naming the first such small.
+    ``oracle.grid_enhanced`` lists them), the table is the row; any other
+    order, repeat or subset of smalls reads the row from the table at each
+    small's cell.  Each row is immutable ``bytes`` (``list(row)`` is the
+    list of 0/1 multiplicities), so rows are written and compared in C and
+    no write can reach a later row.  A small outside the big's rank-one
+    subgroup raises ``multiplicity``'s ``GroupMismatchError``, naming the
+    first such small.
     """
     smalls = list(smalls)
     states: dict[tuple[int, Signature], int] = {}
@@ -156,7 +159,7 @@ def multiplicity_rows(
     cell_of = [weights[q.s.entries] * S + states[q.height, q.sig] for q in smalls]
     size = len(weights) * S
     in_order = cell_of == list(range(size))
-    matches: dict[tuple[int, Signature], list[int]] = {}
+    matches: dict[tuple[int, Signature], bytes] = {}
     entries = starts = None
     for big in bigs:
         for q in firsts.values():
@@ -175,11 +178,13 @@ def multiplicity_rows(
         key = (big.height, big.sig)
         match = matches.get(key)
         if match is None:
-            match = matches[key] = [1 if _states_match(*key, h, sig) else 0 for h, sig in states]
-        table = [0] * size
+            match = matches[key] = bytes(
+                1 if _states_match(*key, h, sig) else 0 for h, sig in states
+            )
+        table = bytearray(size)
         for start in starts:
             table[start : start + S] = match
-        yield table if in_order else list(map(table.__getitem__, cell_of))
+        yield bytes(table) if in_order else bytes(map(table.__getitem__, cell_of))
 
 
 def branch_states(

@@ -442,7 +442,8 @@ def _cmd_selftest(args: argparse.Namespace) -> Answer:
 
     overrides = load_grids(args.grids) if args.grids else {}
     names = dict.fromkeys(args.suite or SUITE_NAMES)  # a repeated --suite runs once
-    reports = [run_suite(name, overrides.get(name)) for name in names]
+    shared: dict = {}  # the grids one suite builds, read by the later ones
+    reports = [run_suite(name, overrides.get(name), shared) for name in names]
     payload = {
         "suites": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),

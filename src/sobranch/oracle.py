@@ -29,7 +29,6 @@ from .reps import (
     RepDescriptor,
     Signature,
     TemperedPS,
-    classify,
     enhanced_from_langlands,
     enhanced_params,
     height,
@@ -162,6 +161,18 @@ def grid_enhanced(group: GroupTag, max_entry: int) -> list[EnhancedParam]:
     return [e for s in grid_weights(group, max_entry) for e in enhanced_params(group, s)]
 
 
+def _grid(shared: dict, N: int, max_entry: int, descriptors: bool = False) -> list:
+    """[``grid_enhanced`` of SO(N,1), the ``langlands_from_enhanced`` of each
+    or None], kept in ``shared`` under (N, max_entry): each is built once, the
+    descriptors only when first asked for."""
+    grid = shared.get((N, max_entry))
+    if grid is None:
+        grid = shared[N, max_entry] = [grid_enhanced(GroupTag(N), max_entry), None]
+    if descriptors and grid[1] is None:
+        grid[1] = [langlands_from_enhanced(e) for e in grid[0]]
+    return grid
+
+
 def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
     """Subgroup weights nu for which the finite-dimensional module of weight s
     contains the one of weight nu when restricted to the subgroup.
@@ -179,7 +190,7 @@ def height0_targets(group: GroupTag, s: Weight) -> set[Weight]:
     }
 
 
-def _suite_dim_conservation(bounds: dict) -> tuple[int, _Failures]:
+def _suite_dim_conservation(bounds: dict, shared: dict) -> tuple[int, _Failures]:
     max_so = bounds["max_so"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
@@ -193,23 +204,23 @@ def _suite_dim_conservation(bounds: dict) -> tuple[int, _Failures]:
     return cases, failures
 
 
-def _suite_roundtrip(bounds: dict) -> tuple[int, _Failures]:
+def _suite_roundtrip(bounds: dict, shared: dict) -> tuple[int, _Failures]:
     """Parameter -> descriptor -> parameter on every grid parameter:
     ``enhanced_from_langlands(langlands_from_enhanced(e))`` must be e.
 
-    One conversion each way per case.  Since ``classify`` lists the
-    ``langlands_from_enhanced`` of every parameter of a weight, this also
-    gives back every ``classify`` descriptor d from its parameter, and a
-    ``langlands_from_enhanced`` that sends two parameters to one descriptor
-    fails at one of them at least.
+    Each parameter e is paired with its descriptor d from the shared grid
+    (``_grid``), so one conversion each way per case, whichever suite built
+    d.  Since ``classify`` lists the ``langlands_from_enhanced`` of every
+    parameter of a weight, this also gives back every ``classify``
+    descriptor d from its parameter, and a ``langlands_from_enhanced`` that
+    sends two parameters to one descriptor fails at one of them at least.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
     for N in range(2, max_group + 1):
-        for e in grid_enhanced(GroupTag(N), max_entry):
+        for e, d in zip(*_grid(shared, N, max_entry, descriptors=True)):
             cases += 1
-            d = langlands_from_enhanced(e)
             back = enhanced_from_langlands(d)
             if back != e:
                 failures.append(
@@ -241,24 +252,27 @@ def _height_by_intervals(d: RepDescriptor) -> int:
     return hits[0]
 
 
-def _suite_height_consistency(bounds: dict) -> tuple[int, _Failures]:
-    """The engine's ``height`` against the interval criterion on every grid descriptor."""
+def _suite_height_consistency(bounds: dict, shared: dict) -> tuple[int, _Failures]:
+    """The engine's ``height`` against the interval criterion on every grid descriptor.
+
+    The descriptors are those of the shared grid (``_grid``), in the order
+    that ``classify`` lists them weight by weight: it lists exactly the
+    ``langlands_from_enhanced`` of each parameter of the weight.
+    """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     cases, failures = 0, _Failures()
     for N in range(2, max_group + 1):
-        group = GroupTag(N)
-        for s in grid_weights(group, max_entry):
-            for d in classify(group, s):
-                cases += 1
-                h = height(d)
-                h_int = _height_by_intervals(d)
-                if h != h_int:
-                    failures.append({"descriptor": repr(d), "insertion": h, "intervals": h_int})
+        for d in _grid(shared, N, max_entry, descriptors=True)[1]:
+            cases += 1
+            h = height(d)
+            h_int = _height_by_intervals(d)
+            if h != h_int:
+                failures.append({"descriptor": repr(d), "insertion": h, "intervals": h_int})
     return cases, failures
 
 
-def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, _Failures]:
+def _suite_trivial_rho_diagrams(bounds: dict, shared: dict) -> tuple[int, _Failures]:
     max_n = bounds["max_n"]
     cases, failures = 0, _Failures()
     for n in range(2, max_n + 1):
@@ -279,15 +293,15 @@ def _suite_trivial_rho_diagrams(bounds: dict) -> tuple[int, _Failures]:
     return cases, failures
 
 
-def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
+def _suite_chi_twist(bounds: dict, shared: dict) -> tuple[int, _Failures]:
     """Twisting both sides by chi_- leaves every multiplicity unchanged.
 
     The per-pair check a row at a time: the row of each big parameter over
     the small grid, from ``multiplicity_rows``, equals the row of its twist
     over the twisted smalls, and a mismatch lists the smalls where they
-    differ.  The big grid of N is the small grid of N + 1, so each grid is
-    built and twisted once: the twisted bigs of N are the twisted smalls of
-    N + 1.
+    differ.  Both grids are read from the shared ones (``_grid``).  The big
+    grid of N is the small grid of N + 1, so each grid is twisted once: the
+    twisted bigs of N are the twisted smalls of N + 1.
     """
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
@@ -295,9 +309,9 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     small_params = twisted_smalls = None
     for N in range(3, max_group + 1):
         if small_params is None:
-            small_params = grid_enhanced(GroupTag(N - 1), max_entry)
+            small_params = _grid(shared, N - 1, max_entry)[0]
             twisted_smalls = [twist_chi_minus(q) for q in small_params]
-        big_params = grid_enhanced(GroupTag(N), max_entry)
+        big_params = _grid(shared, N, max_entry)[0]
         twisted_bigs = [twist_chi_minus(b) for b in big_params]
         own_rows = multiplicity_rows(big_params, small_params)
         twisted_rows = multiplicity_rows(twisted_bigs, twisted_smalls)
@@ -312,7 +326,7 @@ def _suite_chi_twist(bounds: dict) -> tuple[int, _Failures]:
     return cases, failures
 
 
-def _suite_height0_vs_finite(bounds: dict) -> tuple[int, _Failures]:
+def _suite_height0_vs_finite(bounds: dict, shared: dict) -> tuple[int, _Failures]:
     max_group = bounds["max_group"]
     max_entry = bounds["max_entry"]
     signs = (Signature.PLUS, Signature.MINUS)
@@ -349,7 +363,7 @@ def _suite_height0_vs_finite(bounds: dict) -> tuple[int, _Failures]:
 
 
 # Suite "a-b" runs _suite_a_b; the names and their order are the package's SUITE_NAMES.
-_SUITES: dict[str, Callable[[dict], tuple[int, _Failures]]] = {
+_SUITES: dict[str, Callable[[dict, dict], tuple[int, _Failures]]] = {
     name: globals()["_suite_" + name.replace("-", "_")] for name in SUITE_NAMES
 }
 
@@ -411,20 +425,24 @@ def check_bounds(suite: str, bounds: dict, defaults: dict) -> None:
             raise OutOfRangeError(f"bound {suite}.{key} must be an integer, got {value!r}")
 
 
-def run_suite(suite: str, bounds: dict | None = None) -> SuiteReport:
+def run_suite(suite: str, bounds: dict | None = None, shared: dict | None = None) -> SuiteReport:
     """Run one named suite over its grid and report the counterexamples.
 
     A bound that ``bounds`` leaves out keeps its value from suite_grids.json;
-    bounds that are not a dict, a key that suite_grids.json does not list, a
-    value that is not an integer, or bounds whose grid holds no case (a pass
-    that checked nothing) raise ``OutOfRangeError``.
+    bounds that are not a dict (None means none given), a key that
+    suite_grids.json does not list, a value that is not an integer, or bounds
+    whose grid holds no case (a pass that checked nothing) raise
+    ``OutOfRangeError``.  A caller running several suites passes them one
+    ``shared`` dict: the grid parameters and descriptors that roundtrip,
+    height-consistency and chi-twist build are kept in it by (N, max_entry)
+    and read by the later suites.  Without it the call builds its own.
     """
-    bounds = bounds or {}
+    bounds = {} if bounds is None else bounds
     defaults = default_bounds()
     check_bounds(suite, bounds, defaults)
     bounds = {**defaults[suite], **bounds}
     start = time.perf_counter()
-    cases, failures = _SUITES[suite](bounds)
+    cases, failures = _SUITES[suite](bounds, {} if shared is None else shared)
     elapsed = time.perf_counter() - start
     if not cases:
         raise OutOfRangeError(f"the bounds of {suite!r} select no case; nothing was checked")

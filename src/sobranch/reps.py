@@ -37,7 +37,6 @@ from .weights import (
     check_weight,
     infchar_finite_dim,
     infchar_principal_series,
-    validate_weight,
 )
 from .values import Value, store
 
@@ -341,7 +340,7 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
         raise InvalidDescriptorError(
             f"{d} does not match a self-dual finite-dimensional character"
         )
-    return EnhancedParam(group, validate_weight(ent, group), h, sig)
+    return EnhancedParam(group, Weight(tuple(ent)), h, sig)  # EnhancedParam checks the weight
 
 
 def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:

@@ -128,17 +128,23 @@ class TestMultiplicity:
 
 class TestMultiplicityRows:
     """``multiplicity_rows`` against per-pair ``multiplicity`` and the rule
-    written out directly."""
+    written out directly.  Each row is ``bytes``; ``check`` and ``rows``
+    return them as lists."""
 
     @staticmethod
     def per_pair(bigs, smalls):
         return [[multiplicity(big, q) for q in smalls] for big in bigs]
 
+    @staticmethod
+    def rows(bigs, smalls):
+        rows = list(multiplicity_rows(bigs, smalls))
+        assert all(type(row) is bytes for row in rows)
+        return [list(row) for row in rows]
+
     def check(self, bigs, smalls):
-        rows = list(multiplicity_rows(iter(bigs), iter(smalls)))
+        rows = self.rows(iter(bigs), iter(smalls))
         assert rows == self.per_pair(bigs, smalls)
         assert rows == [[reference_multiplicity(big, q) for q in smalls] for big in bigs]
-        assert all(type(m) is int for row in rows for m in row)
         return rows
 
     def test_grid(self):
@@ -188,25 +194,21 @@ class TestMultiplicityRows:
             self.check(bigs, smalls)
             self.check(bigs, grid_enhanced(sub, 2)[:-1])
 
-    def test_in_order_rows_are_distinct_lists(self):
-        # On the grid each row is the freshly built table; writing into one
-        # row must not reach the rows after it.
+    def test_in_order_rows_are_bytes(self):
+        # On the grid each row is the table itself, frozen into bytes: no
+        # write into one row can reach the rows after it.
         bigs = grid_enhanced(GroupTag(5), 2)
         smalls = grid_enhanced(GroupTag(4), 2)
         expected = self.per_pair(bigs, smalls)
-        seen = []
-        for row, want in zip(multiplicity_rows(bigs, smalls), expected):
-            assert row == want
-            assert all(row is not other for other in seen)
-            seen.append(row)
-            row[:] = [7] * len(row)
-        assert len(seen) == len(bigs)
+        rows = list(multiplicity_rows(bigs, smalls))
+        assert [type(row) for row in rows] == [bytes] * len(bigs)
+        assert rows == [bytes(want) for want in expected]
 
     def test_empty(self):
         bigs = grid_enhanced(GroupTag(5), 1)
-        assert list(multiplicity_rows(bigs, [])) == [[] for _ in bigs]
+        assert list(multiplicity_rows(bigs, [])) == [b"" for _ in bigs]
         so21 = grid_enhanced(GroupTag(2), 1)  # no subgroup in the package
-        assert list(multiplicity_rows(so21, [])) == [[] for _ in so21]
+        assert list(multiplicity_rows(so21, [])) == [b"" for _ in so21]
         assert list(multiplicity_rows([], grid_enhanced(GroupTag(4), 1))) == []
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -230,7 +232,7 @@ class TestMultiplicityRows:
         bigs = grid_enhanced(GroupTag(5), 1)
         rows = multiplicity_rows(bigs + [E(6, (0, 0, 0), 0, P)], smalls)
         for big in bigs:
-            assert next(rows) == [multiplicity(big, q) for q in smalls]
+            assert next(rows) == bytes(multiplicity(big, q) for q in smalls)
         with pytest.raises(GroupMismatchError) as got:
             next(rows)
         assert str(got.value) == "SO(4,1) is not the rank-one subgroup of SO(6,1)"
@@ -261,7 +263,7 @@ class TestMultiplicityRows:
         weights = [(2, 1, 0), (1, 1, 0), (2, 2, 0), (0, 0, 0), (2, 1, 0)]
         bigs = [E(5, s, h, sig) for s in weights for h, sig in [(1, P), (0, M), (1, P)]]
         calls.clear()
-        rows = list(multiplicity_rows(bigs, smalls))
+        rows = self.rows(bigs, smalls)
         assert len(calls) == 2 * S
         monkeypatch.undo()
         assert rows == self.check(bigs, smalls)
@@ -277,16 +279,18 @@ class TestMultiplicityRows:
         assert {i // 4 for row in rows for i, m in enumerate(row) if m} == {block}
 
     def test_writing_into_a_row_leaves_later_rows(self):
-        # Bigs of one state over one small weight: no row is the shared
-        # state vector, on the grid or read through the cells.
+        # Bigs of one state over one small weight: every row, on the grid or
+        # read through the cells, is bytes, so no write into it can reach
+        # the shared state vector or a later row.
         smalls = list(enhanced_params(GroupTag(4), W(1, 0)))
         bigs = [E(5, s, 1, P) for s in [(1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 0)]]
         for order in (smalls, smalls[::-1]):
             want = self.check(bigs, order)
             assert all(1 in row for row in want)
             for row, w in zip(multiplicity_rows(bigs, order), want):
-                assert row == w
-                row[:] = [7] * len(row)
+                assert type(row) is bytes and list(row) == w
+                with pytest.raises(TypeError):
+                    row[0] = 7
 
     # The weights a big weight interlaces are looked up among the smalls' when
     # it has at most as many as there are distinct small weights, and found by
@@ -327,7 +331,7 @@ class TestMultiplicityRows:
             elif smalls_of == "subset":
                 smalls = smalls[1::2]
             used = self.count_paths(monkeypatch)
-            rows = list(multiplicity_rows(bigs, smalls))
+            rows = self.rows(bigs, smalls)
             monkeypatch.undo()
             assert used["lookup"] > 0 and used["test"] > 0, (N, used)
             assert rows == self.check(bigs, smalls)
@@ -340,7 +344,7 @@ class TestMultiplicityRows:
         bigs = list(enhanced_params(GroupTag(6), W(*s)))
         used = self.count_paths(monkeypatch)
         start = time.perf_counter()
-        rows = list(multiplicity_rows(bigs, smalls))
+        rows = self.rows(bigs, smalls)
         assert time.perf_counter() - start < 0.5
         monkeypatch.undo()
         assert used == {"lookup": 0, "test": len({q.s for q in smalls})}
@@ -352,7 +356,7 @@ class TestMultiplicityRows:
         bigs = [E(5, (1, 1, 0), 1, P), E(5, (1, 0, 0), 1, P), E(6, (1, 1, 0), 1, P)]
         rows = multiplicity_rows(bigs, smalls)
         for big in bigs[:2]:
-            assert next(rows) == [reference_multiplicity(big, q) for q in smalls]
+            assert list(next(rows)) == [reference_multiplicity(big, q) for q in smalls]
         with pytest.raises(GroupMismatchError) as expected:
             self.per_pair(bigs[2:], smalls)
         with pytest.raises(GroupMismatchError) as got:

@@ -873,7 +873,7 @@ class TestSuiteFailureExitCode:
         import sobranch.oracle as oracle_mod
         from sobranch.oracle import SuiteReport
 
-        def fake_run_suite(name, bounds=None):
+        def fake_run_suite(name, bounds=None, shared=None):
             return SuiteReport(name, 1, [{"boom": True}], 0.0)
 
         monkeypatch.setattr(oracle_mod, "run_suite", fake_run_suite)

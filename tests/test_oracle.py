@@ -17,7 +17,9 @@ from sobranch import (
     weyl_dim,
 )
 from sobranch.branching import finite_dim_branch, multiplicity_rows
-from sobranch.errors import NotMonotoneError, OutOfRangeError, UnknownSuiteError, WrongRankError
+from sobranch.errors import (
+    NotMonotoneError, OutOfRangeError, SobranchError, UnknownSuiteError, WrongRankError,
+)
 from sobranch.oracle import SUITE_NAMES, default_bounds, grid_weights, height0_targets, so_weights
 from sobranch.reps import FiniteDim, Nontempered, twist_chi_minus
 
@@ -168,7 +170,15 @@ class TestSuites:
             "the bounds of 'dim-conservation' select no case; nothing was checked"
         )
 
-    @pytest.mark.parametrize("bounds", [[("max_n", 3)], "max_n", 5])
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [("max_n", 3)], "max_n", 5,
+            # Falsy bounds other than None used to run the default grid and pass.
+            pytest.param([], id="empty-list"), pytest.param("", id="empty-str"),
+            pytest.param(0, id="zero"), pytest.param(False, id="false"),
+        ],
+    )
     def test_bounds_not_a_dict(self, bounds):
         with pytest.raises(OutOfRangeError) as exc:
             run_suite("trivial-rho-diagrams", bounds)
@@ -297,6 +307,98 @@ class TestNoRepeatedWork:
         monkeypatch.setattr(branching, "interlaces", tested)
         report = run_suite("chi-twist", SMALL_BOUNDS["chi-twist"])
         assert report.passed and report.cases_run == SMALL_CASES["chi-twist"]
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestSharedGrids:
+    """Suites run with one ``shared`` dict read the grids and descriptors the
+    first one built, and report exactly what separate calls report."""
+
+    @staticmethod
+    def check(bounds):
+        def key(name, *shared):
+            try:
+                report = run_suite(name, bounds.get(name), *shared)
+            except SobranchError as exc:  # a broken engine may raise in a suite
+                return None, repr(exc)
+            return report.to_json(), report.failures_total
+
+        apart = {name: key(name) for name in SUITE_NAMES}
+        for order in (SUITE_NAMES, SUITE_NAMES[::-1]):  # descriptors asked for first or last
+            shared = {}
+            assert {name: key(name, shared) for name in order} == apart
+        return apart
+
+    def test_small_bounds(self):
+        reports = self.check(SMALL_BOUNDS)
+        assert {name: r["cases_run"] for name, (r, _) in reports.items()} == SMALL_CASES
+
+    def test_same_group_other_entry_bound(self):
+        # roundtrip, height-consistency and chi-twist share the groups up to
+        # SO(5,1) with three entry bounds: a grid keyed by N alone would hand
+        # one suite another's grid and change its case count.
+        bounds = {
+            "roundtrip": {"max_group": 6, "max_entry": 2},
+            "height-consistency": {"max_group": 5, "max_entry": 3},
+            "chi-twist": {"max_group": 5, "max_entry": 1},
+        }
+        shared = {}
+        for name in bounds:
+            run_suite(name, bounds[name], shared)
+        assert sorted(shared) == sorted(
+            [(N, 2) for N in range(2, 7)] + [(N, 3) for N in range(2, 6)]
+            + [(N, 1) for N in range(2, 6)]
+        )
+        reports = self.check(bounds)
+        assert reports["roundtrip"][0]["cases_run"] == len(_grid_params(2, bounds["roundtrip"]))
+        assert reports["height-consistency"][0]["cases_run"] == len(
+            _grid_params(2, bounds["height-consistency"])
+        )
+        ref_cases, ref_failures = reference_chi_twist(bounds["chi-twist"])
+        assert (reports["chi-twist"][0]["cases_run"], ref_failures) == (ref_cases, [])
+
+    def test_broken_engine(self, monkeypatch):
+        # A broken state rule, height and converter are found through the
+        # shared grids as through separate ones.
+        engine_height, engine_enhanced = oracle.height, oracle.enhanced_from_langlands
+
+        def flipped_at_one(d):
+            e = engine_enhanced(d)
+            return twist_chi_minus(e) if e.height == 1 else e
+
+        monkeypatch.setattr(branching, "_states_match", _plus_matches_every_state)
+        monkeypatch.setattr(oracle, "height", lambda d: engine_height(d) + 1)
+        monkeypatch.setattr(oracle, "enhanced_from_langlands", flipped_at_one)
+        reports = self.check(SMALL_BOUNDS)
+        for name in ("roundtrip", "height-consistency", "chi-twist"):
+            report, total = reports[name]
+            assert not report["passed"] and total > oracle.KEPT_FAILURES, name
+
+    def test_default_selftest_builds_each_grid_once(self, monkeypatch, capsys):
+        # The grids of SO(2..11,1) with entries <= 4 hold 4 953 parameters;
+        # separate suites built them twice and converted them twice.
+        from sobranch import cli, reps
+
+        calls = dict.fromkeys(["grid_enhanced", "classify", "EnhancedParam"], 0)
+        monkeypatch.setattr(
+            oracle, "grid_enhanced", _counted(calls, "grid_enhanced", oracle.grid_enhanced)
+        )
+        classify = _counted(calls, "classify", reps.classify)
+        monkeypatch.setattr(reps, "classify", classify)
+        monkeypatch.setattr(oracle, "classify", classify, raising=False)
+        monkeypatch.setattr(
+            EnhancedParam, "__init__", _counted(calls, "EnhancedParam", EnhancedParam.__init__)
+        )
+        assert cli.main(["selftest"]) == 0
+        capsys.readouterr()
+        assert calls == {"grid_enhanced": 10, "classify": 0, "EnhancedParam": 15_405}
 
 
 class TestHeightConsistency:
@@ -428,7 +530,7 @@ class TestChiTwistDifferential:
 
     def check_against_reference(self, broken):
         # The suite keeps the reference's first failures and counts all of them.
-        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS, {})
         ref_cases, ref_failures = reference_chi_twist(self.BOUNDS)
         assert (cases, failures) == (ref_cases, ref_failures[: oracle.KEPT_FAILURES])
         assert failures.total == len(ref_failures)
@@ -461,6 +563,7 @@ class TestChiTwistDifferential:
             for b, row in zip(bigs, engine_rows(bigs, smalls)):
                 if b == big:
                     k = smalls.index(small)
+                    row = bytearray(row)
                     row[k] = 1 - row[k]
                 yield row
 
@@ -513,7 +616,7 @@ class TestChiTwistDifferential:
 
         monkeypatch.setattr(branching, "_states_match", _plus_matches_every_state)
         monkeypatch.setattr(oracle, "repr", counted_repr, raising=False)
-        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS, {})
         ref_cases, ref_failures = reference_chi_twist(self.BOUNDS)
         assert (cases, failures) == (ref_cases, ref_failures[: oracle.KEPT_FAILURES])
         assert failures.total == len(ref_failures) > oracle.KEPT_FAILURES
@@ -537,7 +640,7 @@ class TestChiTwistDifferential:
 
         monkeypatch.setattr(oracle, "multiplicity_rows", recorded)
         monkeypatch.setattr(oracle, "multiplicity", per_pair)
-        cases, failures = oracle._suite_chi_twist(self.BOUNDS)
+        cases, failures = oracle._suite_chi_twist(self.BOUNDS, {})
         assert not failures
         grid = [
             e
