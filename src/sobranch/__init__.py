@@ -26,14 +26,13 @@ SUITE_NAMES = (
 )
 
 _EXPORTS = {
-    "weights": "GroupTag InfChar Weight enumerate_interlacing infchar_finite_dim "
-               "infchar_principal_series interlaces validate_weight weyl_dim zero_weight",
+    "weights": "GroupTag Weight enumerate_interlacing interlaces validate_weight weyl_dim "
+               "zero_weight",
     "reps": "DiscreteSeries EnhancedParam FiniteDim Nontempered RepDescriptor Signature "
             "TemperedPS classify enhanced_from_langlands hasse_sequence height "
-            "infinitesimal_character langlands_from_enhanced signature standard_sequence "
-            "twist_chi_minus",
-    "branching": "Arrow FiniteDimComponent branch_enumerate finite_dim_branch "
-                 "gp_tempered_check multiplicity multiplicity_rows render_diagram sb_diagram",
+            "langlands_from_enhanced signature standard_sequence twist_chi_minus",
+    "branching": "Arrow Diagram FiniteDimComponent branch_enumerate diagram finite_dim_branch "
+                 "gp_tempered_check multiplicity multiplicity_rows sb_diagram",
     "periods": "AqDescriptor KTypeLabel PeriodValue distinguished_subgroup "
                "distinguishing_chain is_aq_lambda minimal_k_type_trivial_rho period_value",
     "cohomology": "PairingDescriptor bilinear_gate bilinear_nonzero_trivial_rho "

@@ -9,8 +9,11 @@ interlace.  The rule factors into a test on the (height, signature) states,
 ``multiplicity`` applies both to one pair; ``multiplicity_rows`` decides a
 row of pairs by tabulating each test once per distinct state and distinct
 weight and writing the state table into the blocks of the interlacing
-weights.  Everything else in this module (enumeration, diagrams, the
-tempered pairing check) is derived from that single decision procedure.
+weights.  ``_states_match`` is the one statement of the state rule: an
+``Arrow`` and the candidate states of ``branch_states`` are checked by it
+too.  Everything else in this module (enumeration, the ``Diagram`` of two
+standard sequences, the tempered pairing check) is derived from that single
+decision procedure.
 """
 
 from __future__ import annotations
@@ -41,14 +44,18 @@ from .weights import (
 
 
 class Arrow(Value):
-    """One nonzero symmetry-breaking direction between sequence members."""
+    """One nonzero symmetry-breaking direction between sequence members.
+
+    The height keeps or drops by one: an arrow that ``_states_match`` refuses
+    with both signatures the wildcard raises ``OutOfRangeError``.
+    """
 
     __slots__ = ("from_height", "to_height", "source", "target")
 
     def __init__(
         self, from_height: int, to_height: int, source: EnhancedParam, target: EnhancedParam
     ) -> None:
-        if to_height not in (from_height, from_height - 1):
+        if not _states_match(from_height, Signature.BOTH, to_height, Signature.BOTH):
             raise OutOfRangeError(
                 f"arrow {from_height} -> {to_height} must keep or drop the height by one"
             )
@@ -193,8 +200,8 @@ def branch_states(
     """(height, signature) pairs on ``sub`` that a parameter of this height
     and signature restricts to, in the order ``branch_enumerate`` yields them.
 
-    The height drops by 0 or 1 and stays admissible for ``sub``; the
-    signature must match, with the discrete-series wildcard on either side.
+    The candidates are the admissible states of ``sub`` at heights
+    height - 1 and height; ``_states_match`` decides which of them are kept.
     The pairs do not depend on the theta-weight.
     """
     return [
@@ -202,7 +209,7 @@ def branch_states(
         for h in (height - 1, height)
         if 0 <= h <= sub.top_height
         for s in signatures_at(sub, h)
-        if s.matches(sig)
+        if _states_match(height, sig, h, s)
     ]
 
 
@@ -228,20 +235,52 @@ def branch_count(big: EnhancedParam) -> int:
     return count_interlacing(big.s, sub.free_rank) * len(branch_states(sub, big.height, big.sig))
 
 
-def sb_diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> list[Arrow]:
-    """All nonzero symmetry-breaking arrows between two standard sequences.
+class Diagram(Value):
+    """Two standard sequences, ``top`` on a group and ``bottom`` on its
+    rank-one subgroup, and the ``arrows`` between them, as tuples."""
 
-    Both sequences start with signature ``sig``; arrows are exactly the pairs
-    the decision procedure accepts.  The weights must interlace, otherwise
-    already the finite-dimensional members admit no nonzero map and the
-    request is rejected.
+    __slots__ = ("top", "bottom", "arrows")
+
+    def __init__(self, top: Iterable[EnhancedParam], bottom: Iterable[EnhancedParam],
+                 arrows: Iterable[Arrow]) -> None:
+        store(self, "top", tuple(top))
+        store(self, "bottom", tuple(bottom))
+        store(self, "arrows", tuple(arrows))
+
+    def to_json(self) -> dict:
+        return {
+            "group": str(self.top[0].group),
+            "subgroup": str(self.bottom[0].group),
+            "top": [e.to_json() for e in self.top],
+            "bottom": [e.to_json() for e in self.bottom],
+            "arrows": [[a.from_height, a.to_height] for a in self.arrows],
+        }
+
+    def render(self) -> str:
+        """Aligned ASCII view of the two sequences and their arrows."""
+        labels_g = [theta_param_str(e) for e in self.top]
+        labels_h = [theta_param_str(e) for e in self.bottom]
+        width = max(len(t) for t in labels_g + labels_h) + 2
+        top = "".join(t.ljust(width) for t in labels_g).rstrip()
+        bottom = "".join(t.ljust(width) for t in labels_h).rstrip()
+        marks = [" "] * (width * len(labels_g))
+        for a in self.arrows:
+            i = a.from_height
+            if a.to_height == i:
+                marks[i * width] = "|"
+            else:  # to_height == i - 1: arrow drops one column to the left
+                marks[i * width - width // 2] = "/"
+        return "\n".join([top, "".join(marks).rstrip(), bottom])
+
+
+def diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> Diagram:
+    """The standard sequences of s on ``group`` and of s_sub on its subgroup,
+    both starting with signature ``sig``, each built once, and every nonzero
+    symmetry-breaking arrow between them: exactly the pairs the decision
+    procedure accepts, top member by top member.  The weights must
+    interlace, otherwise already the finite-dimensional members admit no
+    nonzero map and the request is rejected.
     """
-    return _diagram(group, s, s_sub, sig)[2]
-
-
-def _diagram(group: GroupTag, s: Weight, s_sub: Weight,
-             sig: Signature) -> tuple[list[EnhancedParam], list[EnhancedParam], list[Arrow]]:
-    """The two standard sequences of ``sb_diagram``, each built once, and its arrows."""
     sub = group.subgroup
     check_weight(s, group)
     check_weight(s_sub, sub)
@@ -251,51 +290,18 @@ def _diagram(group: GroupTag, s: Weight, s_sub: Weight,
         )
     seq_g = standard_sequence(group, s, sig)
     seq_h = standard_sequence(sub, s_sub, sig)
-    arrows = []
-    for i, top in enumerate(seq_g):
-        for j, bottom in enumerate(seq_h):
-            if multiplicity(top, bottom) == 1:
-                arrows.append(Arrow(i, j, top, bottom))
-    return seq_g, seq_h, arrows
+    arrows = [
+        Arrow(i, j, top, bottom)
+        for i, top in enumerate(seq_g)
+        for j, bottom in enumerate(seq_h)
+        if multiplicity(top, bottom) == 1
+    ]
+    return Diagram(seq_g, seq_h, arrows)
 
 
-def diagram_to_json(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> dict:
-    return _diagram_json(*_diagram(group, s, s_sub, sig))
-
-
-def render_diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> str:
-    """Aligned ASCII view of the two standard sequences and their arrows."""
-    return _draw_diagram(*_diagram(group, s, s_sub, sig))
-
-
-def _diagram_json(seq_g: list[EnhancedParam], seq_h: list[EnhancedParam],
-                  arrows: list[Arrow]) -> dict:
-    """``diagram_to_json`` of the parts ``_diagram`` built."""
-    return {
-        "group": str(seq_g[0].group),
-        "subgroup": str(seq_h[0].group),
-        "top": [e.to_json() for e in seq_g],
-        "bottom": [e.to_json() for e in seq_h],
-        "arrows": [[a.from_height, a.to_height] for a in arrows],
-    }
-
-
-def _draw_diagram(seq_g: list[EnhancedParam], seq_h: list[EnhancedParam],
-                  arrow_list: list[Arrow]) -> str:
-    """``render_diagram`` of the parts ``_diagram`` built."""
-    arrows = {(a.from_height, a.to_height) for a in arrow_list}
-    labels_g = [theta_param_str(e) for e in seq_g]
-    labels_h = [theta_param_str(e) for e in seq_h]
-    width = max(len(t) for t in labels_g + labels_h) + 2
-    top = "".join(t.ljust(width) for t in labels_g).rstrip()
-    bottom = "".join(t.ljust(width) for t in labels_h).rstrip()
-    marks = [" "] * (width * len(labels_g))
-    for i, j in arrows:
-        if j == i:
-            marks[i * width] = "|"
-        else:  # j == i - 1: arrow drops one column to the left
-            marks[i * width - width // 2] = "/"
-    return "\n".join([top, "".join(marks).rstrip(), bottom])
+def sb_diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> list[Arrow]:
+    """The arrows of ``diagram(group, s, s_sub, sig)``, as a list."""
+    return list(diagram(group, s, s_sub, sig).arrows)
 
 
 def gp_tempered_check(big: TemperedPS, small: DiscreteSeries) -> bool:

@@ -290,15 +290,15 @@ def _cmd_branch_fd(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> Answer:
-    from .branching import _diagram, _diagram_json, _draw_diagram
+    from .branching import diagram
 
     group = GroupTag.parse(args.group)
     s = validate_weight(_parse_csv_ints(args.weight), group)
     s_sub = validate_weight(_parse_csv_ints(args.subweight), group.subgroup)
     sig = Signature.parse(args.sig)
     _check_answer_size("diagram", sum((g.top_height + 1) * g.rank for g in (group, group.subgroup)))
-    parts = _diagram(group, s, s_sub, sig)  # built once, drawn in either mode
-    return _diagram_json(*parts), lambda: _draw_diagram(*parts)
+    d = diagram(group, s, s_sub, sig)  # built once, drawn in either mode
+    return d.to_json(), d.render
 
 
 def _cmd_gp_check(args: argparse.Namespace) -> Answer:

@@ -30,14 +30,7 @@ from .errors import (
     SingularInfCharError,
     WrongRankError,
 )
-from .weights import (
-    GroupTag,
-    InfChar,
-    Weight,
-    check_weight,
-    infchar_finite_dim,
-    infchar_principal_series,
-)
+from .weights import GroupTag, Weight, check_weight
 from .values import Value, store
 
 
@@ -433,14 +426,6 @@ def classify(group: GroupTag, s: Weight) -> list[RepDescriptor]:
     if len(out) != group.n + 2:
         raise InvariantError(f"classify found {len(out)} parameters for {group}, not n + 2")
     return out
-
-
-def infinitesimal_character(d: RepDescriptor) -> InfChar:
-    if isinstance(d, FiniteDim):
-        return infchar_finite_dim(d.group, d.s)
-    if isinstance(d, TemperedPS):
-        return infchar_principal_series(d.group, d.sigma, d.group.n // 2)
-    return infchar_principal_series(d.group, d.sigma, d.lam)
 
 
 def descriptor_to_json(d: RepDescriptor) -> dict:

@@ -1,4 +1,4 @@
-"""Exact weight vectors, infinitesimal characters, and interlacing.
+"""Exact weight vectors, interlacing, and compact Weyl dimensions.
 
 This is the arithmetic substrate for the whole package.  Half-integers are
 stored doubled, so every value in this module is a plain Python integer and
@@ -18,10 +18,9 @@ from .errors import (
     NotSelfDualError,
     OutOfRangeError,
     RankMismatchError,
-    SingularInfCharError,
     WrongRankError,
 )
-from .values import Ordered, Value, store
+from .values import Ordered, store
 
 _GROUP_RE = re.compile(r"SO\(\s*(\d+)\s*,\s*1\s*\)")
 _INT_ONLY = frozenset((int,))
@@ -143,50 +142,6 @@ def zero_weight(rank: int) -> Weight:
     return Weight((0,) * rank)
 
 
-class InfChar(Value):
-    """Regular integral infinitesimal character, stored as doubled entries.
-
-    ``doubled`` holds twice the Harish-Chandra parameter entries, sorted
-    strictly decreasing; ``half_odd`` records whether the true entries are
-    half-odd-integers (doubled entries odd) or integers (doubled even).
-    """
-
-    __slots__ = ("doubled", "half_odd")
-
-    def __init__(self, doubled: tuple[int, ...], half_odd: bool) -> None:
-        d = doubled
-        if any(d[k] <= d[k + 1] for k in range(len(d) - 1)):
-            raise SingularInfCharError(f"entries must be strictly decreasing: {d}")
-        want = 1 if half_odd else 0
-        if any(x % 2 != want for x in d):
-            raise SingularInfCharError(f"entries must share one parity: {d}")
-        store(self, "doubled", doubled)
-        store(self, "half_odd", half_odd)
-
-    @staticmethod
-    def from_doubled(values: Sequence[int]) -> "InfChar":
-        ordered = tuple(sorted(values, reverse=True))
-        for k in range(len(ordered) - 1):
-            if ordered[k] == ordered[k + 1]:
-                raise SingularInfCharError(
-                    f"infinitesimal character is singular: repeated entry {ordered[k]}/2"
-                )
-        half_odd = bool(ordered and ordered[0] % 2)
-        return InfChar(ordered, half_odd)
-
-    def entries(self) -> tuple:
-        """The true entries, as ``Fraction`` halves."""
-        from fractions import Fraction  # fractions and decimal: about 2.4 ms to import
-
-        return tuple(Fraction(x, 2) for x in self.doubled)
-
-    def to_json(self) -> dict:
-        return {"doubled": list(self.doubled), "half_odd": self.half_odd}
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.entries()) + ")"
-
-
 def validate_weight(entries: Sequence[int], group: GroupTag) -> Weight:
     """Check a weight vector against the conventions for SO(N,1).
 
@@ -210,35 +165,6 @@ def check_weight(w: Weight, group: GroupTag) -> Weight:
             f"weight {w} for {group}: trailing entry must vanish when N is odd"
         )
     return w
-
-
-def infchar_finite_dim(group: GroupTag, s: Weight) -> InfChar:
-    """Infinitesimal character of the finite-dimensional module with weight s.
-
-    Entry j (1-based) is s_j + n/2 + 1 - j.  Regularity is automatic for a
-    weakly decreasing weight, and asserted.
-    """
-    check_weight(s, group)
-    n = group.n
-    return InfChar.from_doubled([2 * x + n - 2 * j for j, x in enumerate(s.entries)])
-
-
-def infchar_principal_series(group: GroupTag, sigma: Weight, lam: int) -> InfChar:
-    """Infinitesimal character of the principal series induced from (sigma, lam).
-
-    The multiset is {sigma_k + n/2 - k : k = 1..floor(n/2)} together with
-    |lam - n/2|, taken modulo the Weyl group (sign changes and permutations).
-    A coincidence raises SingularInfCharError: such lam sit on a
-    reducibility wall and are excluded from the classification.
-    """
-    n = group.n
-    if sigma.rank != n // 2:
-        raise WrongRankError(
-            f"sigma {sigma} has rank {sigma.rank}; {group} needs rank {n // 2}"
-        )
-    doubled = [2 * sigma.entries[k] + n - 2 * (k + 1) for k in range(sigma.rank)]
-    doubled.append(abs(2 * lam - n))
-    return InfChar.from_doubled(doubled)
 
 
 def interlaces(mu: Weight, nu: Weight) -> bool:

@@ -13,21 +13,22 @@ from sobranch import (
     TemperedPS,
     Weight,
     branch_enumerate,
+    diagram,
     enhanced_from_langlands,
     finite_dim_branch,
     gp_tempered_check,
     interlaces,
     multiplicity,
-    render_diagram,
     sb_diagram,
     twist_chi_minus,
     zero_weight,
 )
-from sobranch.branching import branch_count, diagram_to_json, multiplicity_rows
+from sobranch.branching import branch_count, multiplicity_rows
 from sobranch.errors import (
     GroupMismatchError,
     NotInterlacingError,
     NotTemperedError,
+    OutOfRangeError,
 )
 from sobranch.oracle import grid_enhanced, grid_weights
 from sobranch.reps import enhanced_params
@@ -449,6 +450,34 @@ class TestBranchEnumerate:
                 assert got == accepted
 
 
+class TestOneStateRule:
+    """``_states_match`` is the one statement of the (height, signature)
+    rule: ``branch_states`` and ``Arrow`` ask it rather than restate it."""
+
+    @staticmethod
+    def no_drop(monkeypatch):
+        def keeps_height(height, sig, sub_height, sub_sig):
+            return height == sub_height and sig.matches(sub_sig)
+
+        monkeypatch.setattr(branching, "_states_match", keeps_height)
+
+    def test_branch_states_follow_the_rule(self, monkeypatch):
+        assert branching.branch_states(GroupTag(4), 2, P) == [(1, P), (2, B)]
+        self.no_drop(monkeypatch)
+        assert branching.branch_states(GroupTag(4), 2, P) == [(2, B)]
+
+    def test_arrow_follows_the_rule(self, monkeypatch):
+        top, bottom = E(3, (0, 0), 1, P), E(2, (0,), 0, P)
+        assert branching.Arrow(1, 0, top, bottom).to_height == 0
+        message = "arrow {} -> {} must keep or drop the height by one"
+        with pytest.raises(OutOfRangeError, match=message.format(0, 2)):
+            branching.Arrow(0, 2, top, bottom)
+        self.no_drop(monkeypatch)
+        with pytest.raises(OutOfRangeError, match=message.format(1, 0)):
+            branching.Arrow(1, 0, top, bottom)
+        assert branching.Arrow(1, 1, top, bottom).to_height == 1
+
+
 class TestDiagrams:
     def test_trivial_so31(self):
         arrows = sb_diagram(GroupTag(3), W(0, 0), W(0), P)
@@ -499,10 +528,12 @@ class TestDiagrams:
             sb_diagram(GroupTag(3), W(1, 0), W(2), P)
 
     def test_json_and_render(self):
-        data = diagram_to_json(GroupTag(4), W(0, 0), W(0, 0), P)
+        d = diagram(GroupTag(4), W(0, 0), W(0, 0), P)
+        assert list(d.arrows) == sb_diagram(GroupTag(4), W(0, 0), W(0, 0), P)
+        data = d.to_json()
         assert data["arrows"] == [[0, 0], [1, 0], [1, 1], [2, 1]]
         assert len(data["top"]) == 3 and len(data["bottom"]) == 2
-        text = render_diagram(GroupTag(4), W(0, 0), W(0, 0), P)
+        text = d.render()
         lines = text.splitlines()
         assert len(lines) == 3
         assert lines[0].count("(") == 3 and lines[2].count("(") == 2

@@ -891,16 +891,16 @@ class TestOneRendering:
     DIAGRAM = ["diagram", "--group", "SO(4,1)", "--weight", "0,0", "--subweight", "0,0", "--json"]
 
     def test_json_mode_draws_no_table(self, capsys, monkeypatch):
-        # The diagram handler reads _draw_diagram off sobranch.branching when it runs.
+        # The diagram handler returns the bound Diagram.render as its table function.
         import sobranch.branching as branching_mod
 
         expected = run_cli(capsys, *self.DIAGRAM)
         assert expected[0] == 0
 
         def refuse(*args):
-            raise AssertionError("_draw_diagram called in JSON mode")
+            raise AssertionError("Diagram.render called in JSON mode")
 
-        monkeypatch.setattr(branching_mod, "_draw_diagram", refuse)
+        monkeypatch.setattr(branching_mod.Diagram, "render", refuse)
         assert run_cli(capsys, *self.DIAGRAM) == expected
 
     def test_json_diagram_builds_each_sequence_once(self, capsys, monkeypatch):
@@ -919,10 +919,10 @@ class TestOneRendering:
         import sobranch.branching as branching_mod
 
         built, searched = [], []
-        sequence, diagram = branching_mod.standard_sequence, branching_mod._diagram
+        sequence, diagram = branching_mod.standard_sequence, branching_mod.diagram
         monkeypatch.setattr(branching_mod, "standard_sequence",
                             lambda *a: built.append(a) or sequence(*a))
-        monkeypatch.setattr(branching_mod, "_diagram", lambda *a: searched.append(a) or diagram(*a))
+        monkeypatch.setattr(branching_mod, "diagram", lambda *a: searched.append(a) or diagram(*a))
         code, out, _ = run_cli(capsys, *self.DIAGRAM[:-1], "--table")
         assert (code, len(built), len(searched)) == (0, 2, 1)
-        assert out == branching_mod.render_diagram(*searched[0]) + "\n"
+        assert out == diagram(*searched[0]).render() + "\n"

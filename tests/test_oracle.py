@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import sobranch
 import sobranch.branching as branching
 import sobranch.oracle as oracle
 from sobranch import (
@@ -461,16 +462,70 @@ def test_oracle_imports_no_private_engine_name():
     assert private == []
 
 
+def _package_trees() -> list[tuple[str, ast.Module]]:
+    """(file name, parsed source) of every module of the package."""
+    package = Path(oracle.__file__).parent
+    return [
+        (str(path.relative_to(package)), ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.rglob("*.py"))
+    ]
+
+
 def test_package_has_no_assert_statement():
     # Invariants raise package errors, which survive python -O; assert does not.
-    package = Path(oracle.__file__).parent
     asserts = [
-        (str(path.relative_to(package)), node.lineno)
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        (name, node.lineno)
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A private name is its module's own business; another module that needs
+    # it should get a public name instead.  Imports inside functions count.
+    private = [
+        (name, node.lineno, alias.name)
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "sobranch")
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert private == []
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # Each exported name is used by the package itself, outside its own
+    # def or class; the export table is a string, so it does not count.
+    used = set()
+    for _, tree in _package_trees():
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    assert [name for name in sobranch.__all__ if name not in used] == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for name, tree in _package_trees():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, line, bound) for bound, line in imported.items() if bound not in loaded]
+    assert unused == []
 
 
 _engine_states_match = branching._states_match

@@ -18,8 +18,6 @@ from sobranch import (
     enhanced_from_langlands,
     hasse_sequence,
     height,
-    infchar_finite_dim,
-    infinitesimal_character,
     langlands_from_enhanced,
     signature,
     standard_sequence,
@@ -176,16 +174,21 @@ class TestClassify:
         assert got == list(enhanced_grid())
 
     def test_common_infinitesimal_character(self):
+        # Every descriptor of s has the doubled infinitesimal character of the
+        # finite-dimensional module of s: 2 s_j + n - 2j at 0-based j, decreasing.
         for N in (3, 4, 5, 6, 7):
             group = GroupTag(N)
             for s in grid_weights(group, 2):
-                target = infchar_finite_dim(group, s)
+                target = [2 * x + group.n - 2 * j for j, x in enumerate(s.entries)]
                 for d in classify(group, s):
-                    assert infinitesimal_character(d) == target
+                    if isinstance(d, FiniteDim):
+                        assert (d.group, d.s) == (group, s)
+                    else:
+                        assert reference_char_slots(d)[0] == target
 
     def test_every_admissible_parameter_is_regular(self):
-        # Any (sigma, lam) accepted by the constructors has a strictly
-        # decreasing character multiset; InfChar construction asserts it.
+        # Any (sigma, lam) accepted by the constructors has a regular
+        # integral doubled character: strictly decreasing, of one parity.
         from itertools import product as iproduct
 
         for N in (3, 4, 5, 6):
@@ -201,8 +204,9 @@ class TestClassify:
                 for lam in range(-4, (group.n + 1) // 2):
                     if 2 * lam >= group.n or lam in excluded:
                         continue
-                    d = Nontempered(group, sigma, P, lam)
-                    infinitesimal_character(d)  # must not raise
+                    chars = reference_char_slots(Nontempered(group, sigma, P, lam))[0]
+                    assert all(a > b for a, b in zip(chars, chars[1:]))
+                    assert len({x % 2 for x in chars}) == 1
 
 
 class TestConversions:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from sobranch.branching import Arrow, FiniteDimComponent
+from sobranch.branching import Arrow, Diagram, FiniteDimComponent
 from sobranch.cohomology import PairingDescriptor
 from sobranch.oracle import SuiteReport
 from sobranch.periods import AqDescriptor, KTypeLabel, PeriodValue
@@ -25,7 +25,7 @@ from sobranch.reps import (
     Signature,
     TemperedPS,
 )
-from sobranch.weights import GroupTag, InfChar, Weight
+from sobranch.weights import GroupTag, Weight
 
 P, M, B = Signature.PLUS, Signature.MINUS, Signature.BOTH
 BIG = EnhancedParam(GroupTag(5), Weight((1, 1, 0)), 1, P)
@@ -36,7 +36,10 @@ LEFT = EnhancedParam(GroupTag(5), Weight((0, 0, 0)), 1, M)
 CASES = [
     (GroupTag, (5,), "GroupTag(N=5)"),
     (Weight, ((1, 1, 0),), "Weight(entries=(1, 1, 0))"),
-    (InfChar, ((5, 3, 1), True), "InfChar(doubled=(5, 3, 1), half_odd=True)"),
+    (Diagram, ((BIG,), (SMALL,), ()),
+     "Diagram(top=(EnhancedParam(group=GroupTag(N=5), s=Weight(entries=(1, 1, 0)), height=1, "
+     "sig=<Signature.PLUS: '+'>),), bottom=(EnhancedParam(group=GroupTag(N=4), "
+     "s=Weight(entries=(1, 0)), height=1, sig=<Signature.PLUS: '+'>),), arrows=())"),
     (FiniteDim, (GroupTag(4), Weight((2, 1)), M),
      "FiniteDim(group=GroupTag(N=4), s=Weight(entries=(2, 1)), sig=<Signature.MINUS: '-'>)"),
     (Nontempered, (GroupTag(5), Weight((2, 0)), P, 0),

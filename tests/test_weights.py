@@ -1,6 +1,5 @@
 import copy
 import pickle
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,8 +11,6 @@ from sobranch import (
     Signature,
     Weight,
     enumerate_interlacing,
-    infchar_finite_dim,
-    infchar_principal_series,
     interlaces,
     validate_weight,
     weyl_dim,
@@ -23,7 +20,6 @@ from sobranch.errors import (
     NotSelfDualError,
     OutOfRangeError,
     RankMismatchError,
-    SingularInfCharError,
     WrongRankError,
 )
 from sobranch.weights import count_interlacing
@@ -184,42 +180,6 @@ class TestWeightErrors:
                     got = str(exc)
                 assert got == want, entries
 
-
-class TestInfChar:
-    def test_rho_so51(self):
-        assert infchar_finite_dim(GroupTag(5), W(0, 0, 0)).entries() == (2, 1, 0)
-
-    def test_rho_so41(self):
-        got = infchar_finite_dim(GroupTag(4), W(0, 0))
-        assert got.entries() == (Fraction(3, 2), Fraction(1, 2))
-        assert got.half_odd
-
-    def test_shifted(self):
-        assert infchar_finite_dim(GroupTag(5), W(1, 1, 0)).entries() == (3, 2, 0)
-
-    def test_rho_matches_halved_ladder_up_to_20(self):
-        # rho = (n/2, n/2 - 1, ..., n/2 - floor(n/2)) for every group
-        for N in range(2, 21):
-            g = GroupTag(N)
-            rho = infchar_finite_dim(g, Weight((0,) * g.rank))
-            n = g.n
-            expected = tuple(Fraction(n, 2) - j for j in range(n // 2 + 1))
-            assert rho.entries() == expected
-
-    def test_principal_series_examples(self):
-        g = GroupTag(5)
-        assert infchar_principal_series(g, W(1, 0), 1).entries() == (2, 1, 0)
-        assert infchar_principal_series(g, W(0, 0), 0).entries() == (2, 1, 0)
-        assert infchar_principal_series(g, W(2, 0), 0).entries() == (3, 2, 0)
-
-    def test_principal_series_singular_wall(self):
-        # lam = k - sigma_k gives a repeated entry
-        with pytest.raises(SingularInfCharError):
-            infchar_principal_series(GroupTag(5), W(1, 0), 0)
-
-    def test_sigma_rank_checked(self):
-        with pytest.raises(WrongRankError):
-            infchar_principal_series(GroupTag(5), W(1, 0, 0), 1)
 
 class TestInterlaces:
     def test_examples(self):
