@@ -9,11 +9,11 @@ interlace.  The rule factors into a test on the (height, signature) states,
 ``multiplicity`` applies both to one pair; ``multiplicity_rows`` decides a
 row of pairs by tabulating each test once per distinct state and distinct
 weight and writing the state table into the blocks of the interlacing
-weights.  ``_states_match`` is the one statement of the state rule: an
-``Arrow`` and the candidate states of ``branch_states`` are checked by it
-too.  Everything else in this module (enumeration, the ``Diagram`` of two
-standard sequences, the tempered pairing check) is derived from that single
-decision procedure.
+weights; ``diagram`` tests its two shared weights once and then applies the
+state half alone.  ``_states_match`` is the one statement of the state rule:
+an ``Arrow`` and the candidate states of ``branch_states`` are checked by it
+too.  Everything else in this module (enumeration, the tempered pairing
+check) is derived from that single decision procedure.
 """
 
 from __future__ import annotations
@@ -279,7 +279,9 @@ def diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> Diagra
     symmetry-breaking arrow between them: exactly the pairs the decision
     procedure accepts, top member by top member.  The weights must
     interlace, otherwise already the finite-dimensional members admit no
-    nonzero map and the request is rejected.
+    nonzero map and the request is rejected.  Every top member has weight s
+    and every bottom one s_sub, so ``_states_match`` alone then decides each
+    pair (member i sits at height i).
     """
     sub = group.subgroup
     check_weight(s, group)
@@ -294,7 +296,7 @@ def diagram(group: GroupTag, s: Weight, s_sub: Weight, sig: Signature) -> Diagra
         Arrow(i, j, top, bottom)
         for i, top in enumerate(seq_g)
         for j, bottom in enumerate(seq_h)
-        if multiplicity(top, bottom) == 1
+        if _states_match(i, top.sig, j, bottom.sig)
     ]
     return Diagram(seq_g, seq_h, arrows)
 

@@ -96,8 +96,18 @@ def signatures_at(group: GroupTag, height: int) -> tuple[Signature, ...]:
 
 
 def _require_definite(sig: Signature, what: str) -> None:
-    if sig is _BOTH:
-        raise InvalidDescriptorError(f"{what} must be '+' or '-', not 'pm'")
+    """Refuse anything but the two definite signs, by identity."""
+    if sig is not _PLUS and sig is not _MINUS:
+        if sig is _BOTH:
+            raise InvalidDescriptorError(f"{what} must be '+' or '-', not 'pm'")
+        raise InvalidDescriptorError(
+            f"{what} must be a Signature, not {type(sig).__name__} {sig!r}"
+        )
+
+
+def _require_int(lam: int) -> None:
+    if type(lam) is not int:
+        raise InvalidDescriptorError(f"lam must be an integer, got {lam!r}")
 
 
 def _validate_sigma(group: GroupTag, sigma: Weight) -> None:
@@ -124,9 +134,9 @@ class FiniteDim(Value):
 class Nontempered(Value):
     """Unique subrepresentation of the induced module I_delta(sigma, lam).
 
-    lam is integral, lies below the tempered wall 2*lam < n, and avoids the
-    reducibility walls lam = k - sigma_k; for N odd, sigma must in addition
-    be self-dual (last entry zero).
+    lam is an int below the tempered wall 2*lam < n and off the reducibility
+    walls lam = k - sigma_k (k from 1), which rise with k, so one scan stops at
+    the first wall >= lam; for N odd, sigma must also be self-dual (last entry 0).
     """
 
     __slots__ = ("group", "sigma", "delta", "lam")
@@ -140,15 +150,18 @@ class Nontempered(Value):
             raise InvalidDescriptorError(
                 f"sigma {sigma} must be self-dual (last entry 0) for {group}"
             )
+        _require_int(lam)
         if 2 * lam >= n:
             raise InvalidDescriptorError(
                 f"lam={lam} is not below the tempered wall n/2={n}/2"
             )
-        excluded = {k + 1 - sig_e[k] for k in range(len(sig_e))}
-        if lam in excluded:
-            raise SingularInfCharError(
-                f"lam={lam} hits a reducibility wall for sigma {sigma}"
-            )
+        for k, x in enumerate(sig_e, 1):
+            if k - x >= lam:
+                if k - x == lam:
+                    raise SingularInfCharError(
+                        f"lam={lam} hits a reducibility wall for sigma {sigma}"
+                    )
+                break
         store(self, "group", group)
         store(self, "sigma", sigma)
         store(self, "delta", delta)
@@ -196,6 +209,7 @@ class DiscreteSeries(Value):
                 f"discrete series requires N even, got {group}"
             )
         _validate_sigma(group, sigma)
+        _require_int(lam)
         m = group.N // 2
         if lam < m:
             raise InvalidDescriptorError(f"discrete series needs lam >= {m}, got {lam}")
@@ -235,6 +249,10 @@ class EnhancedParam(Value):
                 raise InvalidEnhancedError(
                     "signature 'pm' only allowed at top height of an even-N group"
                 )
+            if type(sig) is not Signature:
+                raise InvalidEnhancedError(
+                    f"signature must be a Signature, not {type(sig).__name__} {sig!r}"
+                )
             raise InvalidEnhancedError(
                 f"top height {top} of {group} is the discrete series; signature must be 'pm'"
             )
@@ -273,15 +291,18 @@ def theta_param_str(e: EnhancedParam) -> str:
 
 def _char_slot(d: RepDescriptor) -> tuple[int, int]:
     """Slot of the continuous parameter among the doubled infinitesimal-character
-    entries sorted decreasing, and its doubled entry a = |2 lam - n|."""
+    entries sorted decreasing, and its doubled entry a = |2 lam - n|: the walls
+    2 sigma_k + n - 2k (k from 1) fall strictly, so one scan stops at the first
+    wall <= a; the slot counts the walls above a, and a wall equal to a is refused."""
     n = d.group.n
     a = 0 if isinstance(d, TemperedPS) else abs(2 * d.lam - n)
-    # strictly decreasing, since sigma is weakly decreasing
-    walls = [2 * x + n - 2 * k for k, x in enumerate(d.sigma.entries, 1)]
-    slot = sum(map(a.__lt__, walls))  # entries sorting before it
-    if slot < len(walls) and walls[slot] == a:
-        raise SingularInfCharError(f"parameter hits a reducibility wall: repeated entry {a}/2")
-    return slot, a
+    for slot, x in enumerate(d.sigma.entries):
+        wall = 2 * (x - slot) + n - 2
+        if wall <= a:
+            if wall == a:
+                raise SingularInfCharError(f"parameter hits a reducibility wall: repeated entry {a}/2")
+            return slot, a
+    return len(d.sigma.entries), a
 
 
 def _slot_height_sig(d: RepDescriptor) -> tuple[int, int, int, Signature]:
@@ -326,14 +347,12 @@ def enhanced_from_langlands(d: RepDescriptor) -> EnhancedParam:
         return EnhancedParam(group, d.s, 0, d.sig)
     slot, a, h, sig = _slot_height_sig(d)
     sig_e = d.sigma.entries
-    ent = [x - 1 for x in sig_e[:slot]]
-    ent.append(slot + (a - group.n) // 2)
-    ent += sig_e[slot:]
+    ent = (*[x - 1 for x in sig_e[:slot]], slot + (a - group.n) // 2, *sig_e[slot:])
     if min(ent) < 0:
         raise InvalidDescriptorError(
             f"{d} does not match a self-dual finite-dimensional character"
         )
-    return EnhancedParam(group, Weight(tuple(ent)), h, sig)  # EnhancedParam checks the weight
+    return EnhancedParam(group, Weight(ent), h, sig)  # EnhancedParam checks the weight
 
 
 def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
@@ -350,8 +369,8 @@ def langlands_from_enhanced(e: EnhancedParam) -> RepDescriptor:
         return FiniteDim(group, e.s, e.sig)
     s = e.s.entries
     if e.sig is _BOTH:  # only the discrete-series slot carries the wildcard
-        return DiscreteSeries(group, Weight([x + 1 for x in s[:-1]]), s[-1] + group.N // 2)
-    sigma = Weight([x + 1 for x in s[:h]] + [*s[h + 1 :]])
+        return DiscreteSeries(group, Weight(tuple([x + 1 for x in s[:-1]])), s[-1] + group.N // 2)
+    sigma = Weight((*[x + 1 for x in s[:h]], *s[h + 1 :]))
     if h == group.top_height:
         # N odd tempered slot: the skipped entry is forced to 0, so lam = n/2.
         if s[h] != 0:

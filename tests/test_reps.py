@@ -125,6 +125,60 @@ class TestDescriptorValidation:
     def test_discrete_series_so21_no_upper_bound(self):
         DiscreteSeries(GroupTag(2), W(), 7)
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: FiniteDim(GroupTag(4), W(0, 0), "+"), InvalidDescriptorError,
+         "finite-dimensional signature must be a Signature, not str '+'"),
+        (lambda: FiniteDim(GroupTag(4), W(0, 0), B), InvalidDescriptorError,
+         "finite-dimensional signature must be '+' or '-', not 'pm'"),
+        (lambda: TemperedPS(GroupTag(5), W(1, 1), "-"), InvalidDescriptorError,
+         "delta must be a Signature, not str '-'"),
+        (lambda: Nontempered(GroupTag(5), W(1, 0), None, -1), InvalidDescriptorError,
+         "delta must be a Signature, not NoneType None"),
+        (lambda: hasse_sequence(GroupTag(4), W(0, 0), "+"), InvalidDescriptorError,
+         "sig0 must be a Signature, not str '+'"),
+        (lambda: hasse_member(GroupTag(4), W(0, 0), 1, 0), InvalidDescriptorError,
+         "sig0 must be a Signature, not int 1"),
+        (lambda: EnhancedParam(GroupTag(4), W(0, 0), 0, "+"), InvalidEnhancedError,
+         "signature must be a Signature, not str '+'"),
+        (lambda: EnhancedParam(GroupTag(4), W(0, 0), 2, "pm"), InvalidEnhancedError,
+         "signature must be a Signature, not str 'pm'"),
+        (lambda: EnhancedParam(GroupTag(4), W(0, 0), 2, P), InvalidEnhancedError,
+         "top height 2 of SO(4,1) is the discrete series; signature must be 'pm'"),
+        (lambda: Nontempered(GroupTag(5), W(1, 0), P, True), InvalidDescriptorError,
+         "lam must be an integer, got True"),
+        (lambda: Nontempered(GroupTag(5), W(1, 0), P, -1.0), InvalidDescriptorError,
+         "lam must be an integer, got -1.0"),
+        (lambda: DiscreteSeries(GroupTag(2), W(), True), InvalidDescriptorError,
+         "lam must be an integer, got True"),
+        (lambda: DiscreteSeries(GroupTag(6), W(2, 1), "3"), InvalidDescriptorError,
+         "lam must be an integer, got '3'"),
+    ])
+    def test_wrong_typed_fields_raise_package_errors(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_nontempered_refuses_exactly_the_reducibility_walls(self, N):
+        # Reference: the walls as a set, lam in {k - sigma_k : k >= 1}.
+        group = GroupTag(N)
+        n = group.n
+        for entries in combinations_with_replacement(range(3, -1, -1), n // 2):
+            sigma = Weight(entries)
+            if not group.is_even and entries and entries[-1]:
+                continue  # not self-dual: refused before lam is looked at
+            walls = {k - x for k, x in enumerate(entries, 1)}
+            for lam in range(-4, (n + 1) // 2 + 1):
+                got = outcome(Nontempered, group, sigma, M, lam)
+                if 2 * lam >= n:
+                    assert got == (InvalidDescriptorError,
+                                   f"lam={lam} is not below the tempered wall n/2={n}/2")
+                elif lam in walls:
+                    assert got == (SingularInfCharError,
+                                   f"lam={lam} hits a reducibility wall for sigma {sigma}")
+                else:
+                    assert isinstance(got, Nontempered) and got.lam == lam
+
 
 class TestClassify:
     def test_trivial_rho_so31(self):
